@@ -58,7 +58,26 @@ BM_GfMulAccum(benchmark::State &state)
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(len));
 }
-BENCHMARK(BM_GfMulAccum)->Arg(4096)->Arg(65536)->Arg(524288);
+BENCHMARK(BM_GfMulAccum)->Arg(4096)->Arg(65536)->Arg(131072)->Arg(524288);
+
+// The dRAID sender-side Q coefficient: g^idx * partial into a fresh chunk.
+void
+BM_GfMulBlock(benchmark::State &state)
+{
+    const auto len = static_cast<std::size_t>(state.range(0));
+    Buffer src(len), dst(len);
+    src.fillPattern(4);
+    const auto &gf = Gf256::instance();
+    const std::uint8_t c = gf.pow2(3);
+    for (auto _ : state) {
+        gf.mulBlock(c, src.data(), dst.data(), len);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_GfMulBlock)->Arg(4096)->Arg(65536)->Arg(131072)->Arg(524288);
 
 void
 BM_Raid5Parity(benchmark::State &state)

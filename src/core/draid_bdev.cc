@@ -247,8 +247,10 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
             }
             if (cmd.nextDest2 != sim::kInvalidNode) {
                 // Q-bound copy: apply g^idx at the sender so the reducer
-                // stays a pure XOR machine (late-Parity safe).
-                ec::Buffer qcopy = partial.clone();
+                // stays a pure XOR machine (late-Parity safe). The handle
+                // starts shared with the P-bound bytes, which
+                // applyQCoefficient reads but replaces rather than mutates.
+                ec::Buffer qcopy = partial;
                 applyQCoefficient(qcopy, cmd.dataIdx);
                 node_.cpu().executeBytes(
                     qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(), cmd.traceId,

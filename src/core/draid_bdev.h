@@ -90,7 +90,11 @@ class DraidBdev : public blockdev::NvmfTarget
                         ec::Buffer partial, std::uint16_t data_idx,
                         std::uint64_t trace = 0);
 
-    /** Apply the Q coefficient g^idx to a partial result (CPU-charged). */
+    /**
+     * Apply the Q coefficient g^idx to a partial result (CPU-charged).
+     * @p partial is replaced by a fresh buffer; the bytes it referred to
+     * are only read, so they may be shared with other handles.
+     */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 
     /** Completion routing for commands this bdev itself issued. */

@@ -78,9 +78,8 @@ Raid6Codec::recoverDataWithQ(const std::vector<Buffer> &data, const Buffer &q,
     }
     const std::uint8_t ginv =
         gf.inv(gf.pow2(static_cast<unsigned>(missing)));
-    Buffer out(acc.size());
-    gf.mulBlock(ginv, acc.data(), out.data(), out.size());
-    return out;
+    gf.mulBlock(ginv, acc.data(), acc.data(), acc.size());
+    return acc;
 }
 
 void
