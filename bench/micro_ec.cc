@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the erasure-coding kernels (the
 // ISA-L stand-ins of §8): XOR parity, GF(2^8) multiply-accumulate, RAID-6
-// P+Q generation, and recovery paths.
+// P+Q generation, and recovery paths; plus the buffer and reduce-session
+// plumbing around them.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "core/reduce_engine.h"
 #include "ec/buffer.h"
 #include "ec/gf256.h"
 #include "ec/raid5_codec.h"
@@ -138,6 +140,50 @@ BM_Raid5Delta(benchmark::State &state)
                             131072);
 }
 BENCHMARK(BM_Raid5Delta);
+
+// The hot RMW reduce on a parity server: a fresh session absorbs the
+// old-parity preload and one 128 KB P partial at chunk offset 384 KB, then
+// hands out the final window.
+void
+BM_ReduceAbsorb(benchmark::State &state)
+{
+    constexpr std::uint32_t kOff = 384 * 1024;
+    constexpr std::uint32_t kLen = 128 * 1024;
+    Buffer preload(kLen), partial(kLen);
+    preload.fillPattern(7);
+    partial.fillPattern(8);
+    for (auto _ : state) {
+        draid::core::ReduceSession s;
+        s.baseOffset = kOff;
+        s.length = kLen;
+        draid::core::ReduceEngine::absorbNoCount(s, kOff, preload);
+        draid::core::ReduceEngine::absorbNoCount(s, kOff, partial);
+        Buffer w = draid::core::ReduceEngine::finalWindow(s);
+        benchmark::DoNotOptimize(w.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            2 * kLen);
+}
+BENCHMARK(BM_ReduceAbsorb);
+
+// A 128 KB window of a 512 KB chunk: arg 0 takes a view (slice()), arg 1 a
+// deep copy (slice().clone(), what slice() used to cost).
+void
+BM_BufferSlice(benchmark::State &state)
+{
+    const bool copy = state.range(0) != 0;
+    Buffer chunk(512 * 1024);
+    chunk.fillPattern(9);
+    for (auto _ : state) {
+        Buffer s = chunk.slice(384 * 1024, 128 * 1024);
+        if (copy)
+            s = s.clone();
+        benchmark::DoNotOptimize(s.data());
+    }
+    state.SetLabel(copy ? "copy" : "view");
+}
+BENCHMARK(BM_BufferSlice)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -25,7 +25,7 @@ ec::Buffer
 MemoryBdev::readSync(std::uint64_t offset, std::uint32_t length) const
 {
     assert(offset + length <= capacity_);
-    ec::Buffer out(length);
+    ec::Buffer out = ec::Buffer::uninitialized(length);
     std::uint64_t pos = offset;
     std::uint32_t copied = 0;
     while (copied < length) {
@@ -38,7 +38,8 @@ MemoryBdev::readSync(std::uint64_t offset, std::uint32_t length) const
         if (it != pages_.end())
             std::memcpy(out.data() + copied, it->second.data() + in_page,
                         take);
-        // else: leave zeros (fresh-drive semantics).
+        else
+            std::memset(out.data() + copied, 0, take); // fresh drive
         pos += take;
         copied += take;
     }

@@ -213,16 +213,24 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
         break;
       case proto::Subtype::kRwWrite: {
         // Assemble the chunk's post-write content: head + new + tail.
-        partial = ec::Buffer(chunk_len);
+        // Every byte is written below; a part whose drive read failed
+        // arrives empty and reads as zeros.
+        partial = ec::Buffer::uninitialized(chunk_len);
         const std::uint32_t head_len =
             static_cast<std::uint32_t>(cmd.offset - chunk_addr);
-        if (!old_head.empty())
-            std::memcpy(partial.data(), old_head.data(), old_head.size());
-        std::memcpy(partial.data() + head_len, new_data.data(),
-                    new_data.size());
-        if (!old_tail.empty())
-            std::memcpy(partial.data() + head_len + new_data.size(),
-                        old_tail.data(), old_tail.size());
+        const std::size_t tail_pos = head_len + new_data.size();
+        auto place = [&partial](std::size_t at, const ec::Buffer &part,
+                                std::size_t len) {
+            if (part.empty())
+                std::memset(partial.data() + at, 0, len);
+            else {
+                assert(part.size() == len);
+                std::memcpy(partial.data() + at, part.data(), len);
+            }
+        };
+        place(0, old_head, head_len);
+        place(head_len, new_data, new_data.size());
+        place(tail_pos, old_tail, chunk_len - tail_pos);
         break;
       }
       case proto::Subtype::kRwRead:
@@ -617,7 +625,7 @@ void
 DraidBdev::applyQCoefficient(ec::Buffer &partial, std::uint16_t idx)
 {
     const auto &gf = ec::Gf256::instance();
-    ec::Buffer out(partial.size());
+    auto out = ec::Buffer::uninitialized(partial.size());
     gf.mulBlock(gf.pow2(idx), partial.data(), out.data(), out.size());
     partial = std::move(out);
 }

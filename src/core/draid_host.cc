@@ -575,7 +575,7 @@ DraidHost::executeDegradedTargetedWrite(std::shared_ptr<StripeWrite> sw,
     sendCapsule(p_dev, make_parity(kParitySub), data);
     if (raid6) {
         const auto &gf = ec::Gf256::instance();
-        ec::Buffer qdata(data.size());
+        auto qdata = ec::Buffer::uninitialized(data.size());
         gf.mulBlock(gf.pow2(fidx), data.data(), qdata.data(),
                     qdata.size());
         sendCapsule(q_dev, make_parity(kQParitySub), std::move(qdata));

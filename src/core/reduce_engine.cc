@@ -1,7 +1,6 @@
 #include "core/reduce_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "ec/xor_kernel.h"
@@ -37,18 +36,25 @@ ReduceEngine::erase(std::uint64_t key)
 
 namespace {
 
-/** Grow the accumulator so it covers [0, end). New bytes are zero. */
+/**
+ * Widen a non-empty accumulator to cover in-chunk [lo, end). Its bytes
+ * stay in place; the new parts on either side are zero.
+ */
 void
-ensureCapacity(ReduceSession &s, std::uint32_t end)
+widen(ReduceSession &s, std::uint32_t lo, std::uint32_t end)
 {
-    if (end <= s.accEnd && !s.acc.empty())
+    lo = std::min(lo, s.accLo);
+    end = std::max(end, s.accEnd);
+    if (lo == s.accLo && end == s.accEnd)
         return;
-    const std::uint32_t new_end = std::max(end, s.accEnd);
-    ec::Buffer grown(new_end);
-    if (!s.acc.empty())
-        std::memcpy(grown.data(), s.acc.data(), s.accEnd);
-    s.acc = grown;
-    s.accEnd = new_end;
+    auto grown = ec::Buffer::uninitialized(end - lo);
+    const std::uint32_t head = s.accLo - lo;
+    std::memset(grown.data(), 0, head);
+    std::memcpy(grown.data() + head, s.acc.data(), s.acc.size());
+    std::memset(grown.data() + head + s.acc.size(), 0, end - s.accEnd);
+    s.acc = std::move(grown);
+    s.accLo = lo;
+    s.accEnd = end;
 }
 
 } // namespace
@@ -65,10 +71,20 @@ void
 ReduceEngine::absorbNoCount(ReduceSession &s, std::uint32_t offset,
                             const ec::Buffer &data)
 {
-    ensureCapacity(s, offset + static_cast<std::uint32_t>(data.size()));
-    ec::xorInto(s.acc.data() + offset, data.data(), data.size());
     ++s.absorbed;
     s.bytesAbsorbed += data.size();
+    if (data.empty())
+        return;
+    const auto end = offset + static_cast<std::uint32_t>(data.size());
+    if (s.acc.empty()) {
+        // First contribution: copy it in rather than zero-fill and XOR.
+        s.acc = data.clone();
+        s.accLo = offset;
+        s.accEnd = end;
+        return;
+    }
+    widen(s, offset, end);
+    ec::xorInto(s.acc.data() + (offset - s.accLo), data.data(), data.size());
 }
 
 bool
@@ -80,8 +96,19 @@ ReduceEngine::readyToFinish(const ReduceSession &s)
 ec::Buffer
 ReduceEngine::finalWindow(const ReduceSession &s)
 {
-    assert(s.baseOffset + s.length <= s.accEnd);
-    return s.acc.slice(s.baseOffset, s.length);
+    const std::uint32_t lo = s.baseOffset;
+    const std::uint32_t end = s.baseOffset + s.length;
+    if (!s.acc.empty() && lo >= s.accLo && end <= s.accEnd)
+        return s.acc.slice(lo - s.accLo, s.length);
+    // The window reaches past what was absorbed: copy the overlap into a
+    // zeroed window.
+    ec::Buffer out(s.length);
+    const std::uint32_t from = std::max(lo, s.accLo);
+    const std::uint32_t to = std::min(end, s.accEnd);
+    if (!s.acc.empty() && from < to)
+        std::memcpy(out.data() + (from - lo), s.acc.data() + (from - s.accLo),
+                    to - from);
+    return out;
 }
 
 } // namespace draid::core

@@ -56,8 +56,16 @@ struct ReduceSession
     /** Old-parity preload (RMW) still in flight? */
     bool preloadPending = false;
 
-    /** Accumulator in in-chunk coordinates [0, accEnd). */
+    /**
+     * Accumulator holding in-chunk bytes [accLo, accEnd): acc[i] is the
+     * byte at in-chunk offset accLo + i. It spans only what contributions
+     * have covered (Alg. 2 keeps just the written window), starting as a
+     * copy of the first one and growing, zero-padded, in either direction
+     * when a later one falls outside it. Empty until a non-empty
+     * contribution arrives. The session owns these bytes exclusively.
+     */
     ec::Buffer acc;
+    std::uint32_t accLo = 0;
     std::uint32_t accEnd = 0;
 
     /** Final window (from the host command): in-chunk offset + length. */
@@ -123,7 +131,7 @@ class ReduceEngine
     /**
      * XOR @p data into the session accumulator at in-chunk offset
      * @p offset, growing the accumulator as needed, and decrement the
-     * outstanding count.
+     * outstanding count. @p data is only read.
      */
     static void absorb(ReduceSession &s, std::uint32_t offset,
                        const ec::Buffer &data);
@@ -138,7 +146,11 @@ class ReduceEngine
      */
     static bool readyToFinish(const ReduceSession &s);
 
-    /** The final bytes [baseOffset, baseOffset+length) of the window. */
+    /**
+     * The final bytes [baseOffset, baseOffset+length) of the window.
+     * Usually a view of the accumulator (call it once the session is
+     * done absorbing); bytes no contribution covered read as zero.
+     */
     static ec::Buffer finalWindow(const ReduceSession &s);
 
   private:

@@ -6,14 +6,28 @@
 namespace draid::ec {
 
 Buffer::Buffer(std::size_t size)
-    : data_(new std::uint8_t[size](), std::default_delete<std::uint8_t[]>()),
+    : block_(new std::uint8_t[size](), std::default_delete<std::uint8_t[]>()),
       size_(size)
 {
 }
 
-Buffer::Buffer(const std::uint8_t *src, std::size_t size) : Buffer(size)
+Buffer::Buffer(const std::uint8_t *src, std::size_t size)
+    : Buffer(uninitialized(size))
 {
-    std::memcpy(data_.get(), src, size);
+    if (size)
+        std::memcpy(data(), src, size);
+}
+
+Buffer
+Buffer::uninitialized(std::size_t size)
+{
+    Buffer b;
+    b.block_ = std::shared_ptr<std::uint8_t[]>(
+        new std::uint8_t[size], std::default_delete<std::uint8_t[]>());
+    b.size_ = size;
+    if constexpr (kPoisons)
+        b.fill(kPoison);
+    return b;
 }
 
 Buffer
@@ -21,14 +35,17 @@ Buffer::clone() const
 {
     if (empty())
         return Buffer();
-    return Buffer(data_.get(), size_);
+    return Buffer(data(), size_);
 }
 
 Buffer
 Buffer::slice(std::size_t offset, std::size_t len) const
 {
-    assert(offset + len <= size_);
-    return Buffer(data_.get() + offset, len);
+    assert(offset <= size_ && len <= size_ - offset);
+    Buffer view = *this;
+    view.offset_ += offset;
+    view.size_ = len;
+    return view;
 }
 
 bool
@@ -38,14 +55,14 @@ Buffer::contentEquals(const Buffer &other) const
         return false;
     if (size_ == 0)
         return true;
-    return std::memcmp(data_.get(), other.data_.get(), size_) == 0;
+    return std::memcmp(data(), other.data(), size_) == 0;
 }
 
 void
 Buffer::fill(std::uint8_t value)
 {
     if (size_)
-        std::memset(data_.get(), value, size_);
+        std::memset(data(), value, size_);
 }
 
 void
@@ -53,12 +70,13 @@ Buffer::fillPattern(std::uint64_t seed)
 {
     // Cheap splitmix-style stream; good enough to make collisions
     // vanishingly unlikely in integrity tests.
+    std::uint8_t *out = data();
     std::uint64_t x = seed;
     for (std::size_t i = 0; i < size_; ++i) {
         x += 0x9e3779b97f4a7c15ull;
         std::uint64_t z = x;
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        data_.get()[i] = static_cast<std::uint8_t>(z ^ (z >> 31));
+        out[i] = static_cast<std::uint8_t>(z ^ (z >> 31));
     }
 }
 

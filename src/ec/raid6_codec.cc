@@ -14,9 +14,10 @@ Raid6Codec::computePQ(const std::vector<Buffer> &data, Buffer &p, Buffer &q)
     assert(!data.empty());
     const auto &gf = Gf256::instance();
     const std::size_t len = data[0].size();
-    p = Buffer(len);
-    q = Buffer(len);
-    for (std::size_t i = 0; i < data.size(); ++i) {
+    // g^0 = 1, so data[0] is both parities' first term.
+    p = data[0].clone();
+    q = data[0].clone();
+    for (std::size_t i = 1; i < data.size(); ++i) {
         assert(data[i].size() == len);
         xorInto(p.data(), data[i].data(), len);
         gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
@@ -114,7 +115,7 @@ Raid6Codec::recoverTwoData(std::vector<Buffer> &data, const Buffer &p,
     Buffer pd = xorOf(p, pxy);
     Buffer qd = xorOf(q, qxy);
 
-    Buffer dx(len);
+    Buffer dx = Buffer::uninitialized(len);
     gf.mulBlock(a, pd.data(), dx.data(), len);
     gf.mulAccum(b, qd.data(), dx.data(), len);
 

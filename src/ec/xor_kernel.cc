@@ -55,7 +55,7 @@ Buffer
 xorOf(const Buffer &a, const Buffer &b)
 {
     assert(a.size() == b.size());
-    Buffer out(a.size());
+    Buffer out = Buffer::uninitialized(a.size());
     xorBlocks(out.data(), a.data(), b.data(), a.size());
     return out;
 }

@@ -91,7 +91,7 @@ FioJob::issueNext()
                       onComplete(t0, bytes, st == blockdev::IoStatus::kOk);
                   });
     } else {
-        ec::Buffer data(bytes);
+        auto data = ec::Buffer::uninitialized(bytes);
         data.fill(static_cast<std::uint8_t>(issued_));
         dev_.write(offset, std::move(data),
                    [this, t0, bytes](blockdev::IoStatus st) {

@@ -22,6 +22,32 @@ TEST(MemoryBdev, FreshDeviceReadsZeros)
     EXPECT_EQ(dev.pagesAllocated(), 0u);
 }
 
+TEST(MemoryBdev, ReadSpanningWrittenAndUntouchedPages)
+{
+    // Reads build their result without zero-filling first, so the part
+    // on an untouched page must be zeroed explicitly (fresh drive).
+    MemoryBdev dev(8 << 20);
+    const std::uint64_t page = 256 * 1024;
+    Buffer data(100);
+    data.fillPattern(21);
+    dev.writeSync(page - 100, data);
+    ASSERT_EQ(dev.pagesAllocated(), 1u);
+
+    Buffer got = dev.readSync(page - 100, 300);
+    ASSERT_EQ(got.size(), 300u);
+    EXPECT_TRUE(got.slice(0, 100).contentEquals(data));
+    for (std::size_t i = 100; i < got.size(); ++i)
+        EXPECT_EQ(got[i], 0) << i;
+
+    // Untouched page first, then the written one.
+    dev.writeSync(3 * page, data);
+    got = dev.readSync(3 * page - 50, 150);
+    for (std::size_t i = 0; i < 50; ++i)
+        EXPECT_EQ(got[i], 0) << i;
+    EXPECT_TRUE(got.slice(50, 100).contentEquals(data));
+    EXPECT_EQ(dev.pagesAllocated(), 2u);
+}
+
 TEST(MemoryBdev, WriteReadRoundTrip)
 {
     MemoryBdev dev(8 << 20);
