@@ -502,7 +502,7 @@ appendBenchJsonRow(SystemUnderTest &sut, const workload::FioConfig &fio,
                           "\"latency_us\":%.3f,\"bytes\":%llu,"
                           "\"spans\":%zu,\"dominant\":\"%s\"}",
                           static_cast<unsigned long long>(e.traceId),
-                          e.name.c_str(),
+                          e.name,
                           static_cast<double>(e.latency()) /
                               sim::kMicrosecond,
                           static_cast<unsigned long long>(e.bytes),

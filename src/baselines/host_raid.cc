@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <string>
 #include <utility>
 
 #include "telemetry/trace.h"
@@ -69,18 +68,16 @@ HostCentricRaid::finishOpSpan(std::uint64_t trace, const char *name,
     telemetry::Tracer &tracer = cluster_.tracer();
     if (trace == 0 || !tracer.active())
         return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "op";
-    span.name = name;
-    span.start = start.raw();
-    span.end = end.raw();
-    span.tenant = tenant;
-    span.args.emplace_back("bytes", std::to_string(bytes));
     // Root op span: routes through the op-completion path (streaming
     // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion(std::move(span));
+    tracer.recordOpCompletion({.traceId = trace,
+                               .node = cluster_.hostId(),
+                               .lane = "op",
+                               .name = name,
+                               .start = start.raw(),
+                               .end = end.raw(),
+                               .tenant = tenant,
+                               .args = {{"bytes", bytes}}});
 }
 
 std::uint64_t

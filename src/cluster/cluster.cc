@@ -69,12 +69,13 @@ Cluster::instrumentNode(Node &node)
     node.cpu().setObserver(&node.cpuTap());
 
     if (node.hasSsd()) {
-        node.ssd().bindTrace(&tracer, id);
+        node.ssdTap().bindTrace(&tracer, id);
         // Media-error discoveries (LatentSectorError) land in the cluster
         // journal with the drive's own node id.
         node.ssd().bindJournal(&telemetry_.journal(), id);
-        node.ssd().bindContention(
+        node.ssdTap().bindContention(
             &ct, ct.registerResource(id, RK::SsdChannel));
+        node.ssd().setObserver(&node.ssdTap());
     }
 
     // Pull probes over the counters the components already keep; sampling

@@ -45,11 +45,13 @@ class Node
     /**
      * Observe-only telemetry taps for the node's FIFO resources; the
      * Cluster binds tracer/contention into them and attaches them to the
-     * NIC pipes and CPU core (see sim/service.h for the seam contract).
+     * NIC pipes, CPU core and SSD (see sim/service.h for the seam
+     * contract).
      */
     telemetry::LaneTap &txTap() { return txTap_; }
     telemetry::LaneTap &rxTap() { return rxTap_; }
     telemetry::LaneTap &cpuTap() { return cpuTap_; }
+    telemetry::LaneTap &ssdTap() { return ssdTap_; }
 
     /** The node's drive. @pre hasSsd() */
     nvme::Ssd &ssd() { return *ssd_; }
@@ -62,6 +64,7 @@ class Node
     telemetry::LaneTap txTap_{telemetry::LaneTap::Style::kPipe};
     telemetry::LaneTap rxTap_{telemetry::LaneTap::Style::kPipe};
     telemetry::LaneTap cpuTap_{telemetry::LaneTap::Style::kCpu};
+    telemetry::LaneTap ssdTap_{telemetry::LaneTap::Style::kSsd};
     std::unique_ptr<nvme::Ssd> ssd_;
 };
 

@@ -113,18 +113,16 @@ DraidHost::finishOpSpan(std::uint64_t trace, const char *name,
     telemetry::Tracer &tracer = cluster_.tracer();
     if (trace == 0 || !tracer.active())
         return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "op";
-    span.name = name;
-    span.start = start.raw();
-    span.end = end.raw();
-    span.tenant = tenant;
-    span.args.emplace_back("bytes", std::to_string(bytes));
     // Root op span: routes through the op-completion path (streaming
     // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion(std::move(span));
+    tracer.recordOpCompletion({.traceId = trace,
+                               .node = cluster_.hostId(),
+                               .lane = "op",
+                               .name = name,
+                               .start = start.raw(),
+                               .end = end.raw(),
+                               .tenant = tenant,
+                               .args = {{"bytes", bytes}}});
 }
 
 void
@@ -137,16 +135,14 @@ DraidHost::recordLockWait(std::uint64_t trace, std::uint64_t stripe,
     telemetry::Tracer &tracer = cluster_.tracer();
     if (!tracer.active())
         return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "lock";
-    span.name = "lock.stripe";
-    span.start = since.raw();
-    span.end = now.raw();
-    span.tenant = contention_->tenantOf(trace);
-    span.args.emplace_back("stripe", std::to_string(stripe));
-    tracer.recordSpan(std::move(span));
+    tracer.recordSpan({.traceId = trace,
+                       .node = cluster_.hostId(),
+                       .lane = "lock",
+                       .name = "lock.stripe",
+                       .start = since.raw(),
+                       .end = now.raw(),
+                       .tenant = contention_->tenantOf(trace),
+                       .args = {{"stripe", stripe}}});
 }
 
 std::uint64_t

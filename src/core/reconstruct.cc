@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 #include <utility>
 
 #include "telemetry/trace.h"
@@ -79,16 +78,14 @@ RebuildJob::pump()
         const sim::Ticks issued = sim_.now();
         fn_(stripe, [this, stripe, trace, issued](bool ok) {
             if (trace != 0 && tracer_ && tracer_->active()) {
-                telemetry::TraceSpan span;
-                span.traceId = trace;
-                span.node = traceNode_;
-                span.lane = "rebuild";
-                span.name = "rebuild.stripe";
-                span.start = issued.raw();
-                span.end = sim_.now().raw();
-                span.args.emplace_back("stripe", std::to_string(stripe));
-                span.args.emplace_back("ok", ok ? "1" : "0");
-                tracer_->recordSpan(std::move(span));
+                tracer_->recordSpan({.traceId = trace,
+                                     .node = traceNode_,
+                                     .lane = "rebuild",
+                                     .name = "rebuild.stripe",
+                                     .start = issued.raw(),
+                                     .end = sim_.now().raw(),
+                                     .args = {{"stripe", stripe},
+                                              {"ok", ok ? 1u : 0u}}});
             }
             if (!ok && stripeFailed_)
                 stripeFailed_(stripe);

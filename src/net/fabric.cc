@@ -55,14 +55,12 @@ Fabric::transferPair(sim::NodeId src, sim::NodeId dst, std::uint64_t bytes,
         if (--*remaining != 0)
             return;
         if (trace != 0 && tracer_ && tracer_->active()) {
-            telemetry::TraceSpan span;
-            span.traceId = trace;
-            span.node = src;
-            span.lane = "fabric";
-            span.name = "fabric.prop";
-            span.start = sim_.now().raw();
-            span.end = (sim_.now() + delay).raw();
-            tracer_->recordSpan(std::move(span));
+            tracer_->recordSpan({.traceId = trace,
+                                 .node = src,
+                                 .lane = "fabric",
+                                 .name = "fabric.prop",
+                                 .start = sim_.now().raw(),
+                                 .end = (sim_.now() + delay).raw()});
         }
         sim_.schedule(delay, "fabric.prop", std::move(done));
     };

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 #include <utility>
 
 #include "telemetry/event_journal.h"
-#include "telemetry/interference.h"
-#include "telemetry/trace.h"
 
 namespace draid::nvme {
 
@@ -31,7 +28,7 @@ Ssd::Ssd(sim::Simulator &sim, const SsdConfig &config)
       channel_(sim, 1e9, sim::Ticks::zero(), config.perCommand)
 {
     // Label-only: channel completions attribute as "ssd.channel" in the
-    // engine profile (span recording stays off; see channelTap_).
+    // engine profile; traced I/O reaches telemetry through observe().
     channel_.setLabel("ssd.channel");
 }
 
@@ -48,9 +45,7 @@ Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
 {
     bytesRead_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
-    // The trace rides into the channel pipe for contention attribution
-    // (the pipe's tracer is never bound, so no duplicate span appears).
-    channel_.transfer(scaled(length, config_.readBw / degrade_), trace,
+    channel_.transfer(scaled(length, config_.readBw / degrade_),
                       [this, offset, length, cb = std::move(cb)]() {
         const auto latency = sim::Ticks{static_cast<sim::Tick>(
             static_cast<double>(config_.readLatency.raw()) * degrade_)};
@@ -75,19 +70,7 @@ Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
             cb(blockdev::IoStatus::kOk, store_.readSync(offset, length));
         });
     });
-    if (trace != 0 && tracer_ && tracer_->active()) {
-        telemetry::TraceSpan span;
-        span.traceId = trace;
-        span.node = traceNode_;
-        span.lane = "ssd";
-        span.name = "ssd.read";
-        span.start = start.raw();
-        span.end = channel_.busyUntil().raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(trace);
-        span.args.emplace_back("bytes", std::to_string(length));
-        tracer_->recordSpan(std::move(span));
-    }
+    observe(trace, start, length, "ssd.read");
 }
 
 void
@@ -103,7 +86,7 @@ Ssd::write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
     const std::uint64_t length = data.size();
     bytesWritten_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
-    channel_.transfer(scaled(length, config_.writeBw / degrade_), trace,
+    channel_.transfer(scaled(length, config_.writeBw / degrade_),
                       [this, offset, data = std::move(data),
                        cb = std::move(cb)]() {
         const auto latency = sim::Ticks{static_cast<sim::Tick>(
@@ -127,35 +110,23 @@ Ssd::write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
             cb(blockdev::IoStatus::kOk);
         });
     });
-    if (trace != 0 && tracer_ && tracer_->active()) {
-        telemetry::TraceSpan span;
-        span.traceId = trace;
-        span.node = traceNode_;
-        span.lane = "ssd";
-        span.name = "ssd.write";
-        span.start = start.raw();
-        span.end = channel_.busyUntil().raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(trace);
-        span.args.emplace_back("bytes", std::to_string(length));
-        tracer_->recordSpan(std::move(span));
-    }
+    observe(trace, start, length, "ssd.write");
 }
 
 void
-Ssd::bindTrace(telemetry::Tracer *tracer, sim::NodeId node)
+Ssd::observe(std::uint64_t trace, sim::Ticks start, std::uint64_t length,
+             const char *what)
 {
-    tracer_ = tracer;
-    traceNode_ = node;
-}
-
-void
-Ssd::bindContention(telemetry::ContentionTracker *tracker,
-                    std::uint32_t res)
-{
-    contention_ = tracker;
-    channelTap_.bindContention(tracker, res);
-    channel_.setObserver(&channelTap_);
+    if (trace == 0 || observer_ == nullptr)
+        return;
+    // The channel window exactly as the Pipe would report it, but with the
+    // logical length rather than the rate-scaled channel units.
+    observer_->onService(sim::ServiceRecord{.trace = trace,
+                                            .arrival = sim_.now(),
+                                            .start = start,
+                                            .end = channel_.busyUntil(),
+                                            .bytes = length,
+                                            .what = what});
 }
 
 void

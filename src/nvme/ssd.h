@@ -21,13 +21,11 @@
 #include "blockdev/block_device.h"
 #include "blockdev/memory_bdev.h"
 #include "sim/pipe.h"
+#include "sim/service.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
-#include "telemetry/lane_tap.h"
 
 namespace draid::telemetry {
-class ContentionTracker;
-class Tracer;
 class EventJournal;
 }
 
@@ -59,26 +57,21 @@ class Ssd : public blockdev::BlockDevice
                blockdev::WriteCallback cb) override;
 
     /**
-     * Traced variants: record the exact media-channel occupancy window as
-     * an "ssd.read"/"ssd.write" span when telemetry is bound, tracing is
-     * enabled, and @p trace is nonzero. Timing is identical to the
-     * untraced calls.
+     * Traced variants: when @p trace is nonzero, report the exact
+     * media-channel window to the attached observer as an "ssd.read" /
+     * "ssd.write" ServiceRecord carrying the logical length. Timing is
+     * identical to the untraced calls.
      */
     void read(std::uint64_t offset, std::uint32_t length,
               std::uint64_t trace, blockdev::ReadCallback cb);
     void write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
                blockdev::WriteCallback cb);
 
-    /** Attach a span sink; spans land on node @p node, lane "ssd". */
-    void bindTrace(telemetry::Tracer *tracer, sim::NodeId node);
-
-    /**
-     * Attach a contention tracker under resource id @p res: traced I/O
-     * records its exact media-channel occupancy and queue-wait blame
-     * (observe-only; see Pipe::bindContention).
-     */
-    void bindContention(telemetry::ContentionTracker *tracker,
-                        std::uint32_t res);
+    /** Attach the observe-only telemetry tap (telemetry::LaneTap). */
+    void setObserver(sim::ServiceObserver *observer)
+    {
+        observer_ = observer;
+    }
 
     /**
      * Attach the cluster event journal: a read hitting a latent sector
@@ -134,13 +127,7 @@ class Ssd : public blockdev::BlockDevice
      * expressed by scaling the byte count with the per-direction rate.
      */
     sim::Pipe channel_;
-    /** Observe-only contention tap for the shared channel (no spans: the
-     *  Ssd records its own "ssd.read"/"ssd.write" spans with media timing
-     *  included, so the tap's tracer is never bound). */
-    telemetry::LaneTap channelTap_;
-    telemetry::Tracer *tracer_ = nullptr;
-    sim::NodeId traceNode_ = 0;
-    telemetry::ContentionTracker *contention_ = nullptr;
+    sim::ServiceObserver *observer_ = nullptr;
     telemetry::EventJournal *journal_ = nullptr;
     sim::NodeId journalNode_ = 0;
     /** Gray-drive service-time multiplier (1.0 = healthy). */
@@ -150,6 +137,9 @@ class Ssd : public blockdev::BlockDevice
     // draid-lint: cap(injected LSE ranges; campaign config bounds injections)
     std::map<std::uint64_t, std::uint64_t> lse_;
     std::uint64_t lseHits_ = 0;
+    /** Report a traced I/O's channel window, queued since now(). */
+    void observe(std::uint64_t trace, sim::Ticks start, std::uint64_t length,
+                 const char *what);
     /** First planted range intersecting [offset, offset+length), if any. */
     const std::pair<const std::uint64_t, std::uint64_t> *
     findLse(std::uint64_t offset, std::uint64_t length) const;

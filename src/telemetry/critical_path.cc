@@ -164,8 +164,9 @@ classifySpan(const TraceSpan &span)
     if (lane == "ssd")
         return Phase::kSsd;
     if (lane == "cpu") {
-        return span.name.rfind("reduce.", 0) == 0 ? Phase::kReduce
-                                                  : Phase::kCpu;
+        return std::string_view(span.name).starts_with("reduce.")
+                   ? Phase::kReduce
+                   : Phase::kCpu;
     }
     if (lane == "nic.tx" || lane == "nic.rx")
         return Phase::kNic;

@@ -60,7 +60,7 @@ const char *phaseName(Phase p);
 struct OpBreakdown
 {
     std::uint64_t traceId = 0;
-    std::string name; ///< root span name, e.g. "draid.write"
+    const char *name = ""; ///< root span name, e.g. "draid.write"
     sim::Tick start = 0;
     sim::Tick end = 0;
 

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -32,12 +31,6 @@ crashTracePath()
 {
     static std::string path;
     return path;
-}
-
-void
-copyName(char (&dst)[24], const char *src)
-{
-    std::snprintf(dst, sizeof(dst), "%s", src);
 }
 
 void
@@ -127,7 +120,7 @@ FlightRecorder::record(const TraceSpan &span)
     rec.node = span.node;
     rec.tenant = span.tenant;
     rec.lane = span.lane;
-    copyName(rec.name, span.name.c_str());
+    rec.name = span.name;
     rec.start = span.start;
     rec.end = span.end;
     push(rec);
@@ -143,7 +136,7 @@ FlightRecorder::note(const char *name, std::uint64_t id, sim::NodeId node,
     rec.traceId = id;
     rec.node = node;
     rec.lane = "event";
-    copyName(rec.name, name);
+    rec.name = name;
     rec.start = tick;
     rec.end = tick;
     push(rec);

@@ -32,14 +32,14 @@ struct TraceSpan;
 class FlightRecorder
 {
   public:
-    /** One compact record; names are truncated to fit (no heap). */
+    /** One compact record; lane and name are static strings (no heap). */
     struct Record
     {
         std::uint64_t traceId = 0;
         sim::NodeId node = 0;
         std::uint32_t tenant = 0; ///< owning tenant; 0 = untracked
         const char *lane = "";    ///< static string from the recording site
-        char name[24] = "";
+        const char *name = "";    ///< static string from the recording site
         sim::Tick start = 0;
         sim::Tick end = 0;
     };
@@ -66,8 +66,8 @@ class FlightRecorder
 
     /**
      * Append one out-of-band event record (lane "event"): op timeouts,
-     * aborts, externally observed anomalies. @p lane_static and @p name
-     * follow Record's rules. Records even a disabled recorder would want
+     * aborts, externally observed anomalies. @p name must be a static
+     * string, as in Record. Records even a disabled recorder would want
      * to keep are still gated on enabled() so a dark run stays dark.
      */
     void note(const char *name, std::uint64_t id, sim::NodeId node,

@@ -12,31 +12,6 @@ namespace draid::telemetry {
 
 namespace {
 
-/** Escape a string for a JSON literal (names are short and internal). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Fixed-precision double — deterministic formatting for the byte gate. */
 void
 putF(std::ostream &os, double v)
@@ -504,8 +479,9 @@ void
 ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
                                 std::uint64_t seed) const
 {
-    os << "{\"label\":\"" << jsonEscape(label) << "\",\"seed\":" << seed
-       << ",\"window_us\":";
+    os << "{\"label\":";
+    writeJsonString(os, label);
+    os << ",\"seed\":" << seed << ",\"window_us\":";
     putF(os, ticksToUs(windowTicks_));
     os << ",\"window_merges\":" << windowMerges_
        << ",\"waited_ops\":" << waitedOps_
@@ -520,8 +496,9 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
         if (!first)
             os << ",";
         first = false;
-        os << "{\"id\":" << id << ",\"name\":\"" << jsonEscape(t.name)
-           << "\",\"slo_target_us\":";
+        os << "{\"id\":" << id << ",\"name\":";
+        writeJsonString(os, t.name);
+        os << ",\"slo_target_us\":";
         putF(os, ticksToUs(t.sloTarget));
         os << "}";
     }
@@ -533,10 +510,11 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
         if (!first)
             os << ",";
         first = false;
-        os << "{\"victim\":\"" << jsonEscape(tenantName(std::get<0>(key)))
-           << "\",\"aggressor\":\""
-           << jsonEscape(tenantName(std::get<1>(key)))
-           << "\",\"resource\":\""
+        os << "{\"victim\":";
+        writeJsonString(os, tenantName(std::get<0>(key)));
+        os << ",\"aggressor\":";
+        writeJsonString(os, tenantName(std::get<1>(key)));
+        os << ",\"resource\":\""
            << kindName(static_cast<ResourceKind>(std::get<2>(key)))
            << "\",\"blame_ns\":" << cell.total << ",\"windows\":[";
         bool wfirst = true;
@@ -568,8 +546,9 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
             if (t.sloTarget > 0 && win.lat.percentile(99.0) > t.sloTarget)
                 ++burning;
         }
-        os << "{\"tenant\":\"" << jsonEscape(t.name)
-           << "\",\"target_p99_us\":";
+        os << "{\"tenant\":";
+        writeJsonString(os, t.name);
+        os << ",\"target_p99_us\":";
         putF(os, ticksToUs(t.sloTarget));
         os << ",\"ops\":" << t.ops << ",\"bytes\":" << t.bytes
            << ",\"mean_us\":";

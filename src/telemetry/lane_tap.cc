@@ -1,8 +1,5 @@
 #include "telemetry/lane_tap.h"
 
-#include <string>
-#include <utility>
-
 #include "telemetry/interference.h"
 #include "telemetry/trace.h"
 
@@ -11,7 +8,8 @@ namespace draid::telemetry {
 void
 LaneTap::onService(const sim::ServiceRecord &rec)
 {
-    if (contention_ && contention_->enabled()) {
+    const bool attributing = contention_ && contention_->enabled();
+    if (attributing) {
         // FIFO service: [arrival, start) is exactly tiled by the occupancy
         // segments already recorded, so the blame split sums to the wait.
         contention_->attributeWait(res_, rec.trace, rec.arrival.raw(),
@@ -21,18 +19,16 @@ LaneTap::onService(const sim::ServiceRecord &rec)
     }
 
     if (tracer_ && tracer_->active()) {
-        TraceSpan span;
-        span.traceId = rec.trace;
-        span.node = node_;
-        span.lane = style_ == Style::kCpu ? "cpu" : rec.what;
-        span.name = rec.what;
-        span.start = rec.start.raw();
-        span.end = rec.end.raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(rec.trace);
-        if (style_ == Style::kPipe)
-            span.args.emplace_back("bytes", std::to_string(rec.bytes));
-        tracer_->recordSpan(std::move(span));
+        tracer_->recordSpan(TraceSpan{
+            .traceId = rec.trace,
+            .node = node_,
+            .lane = lane_ != nullptr ? lane_ : rec.what,
+            .name = rec.what,
+            .start = rec.start.raw(),
+            .end = rec.end.raw(),
+            .tenant = attributing ? contention_->tenantOf(rec.trace) : 0,
+            .args = {withBytes_ ? SpanArg{"bytes", rec.bytes} : SpanArg{}},
+        });
     }
 }
 

@@ -2,16 +2,15 @@
  * @file
  * LaneTap: the telemetry-side adapter for the sim::ServiceObserver seam.
  *
- * src/sim's FIFO resources (Pipe, CpuCore) report every traced service
- * commitment through sim/service.h without knowing telemetry exists; a
- * LaneTap attached via setObserver() translates each ServiceRecord into
- * the trace span and contention-attribution calls the old tightly-coupled
- * bindTrace/bindContention paths used to make — in the same order, with
- * the same gating, so output is byte-identical.
+ * Every FIFO resource — the NIC pipes, the CPU cores and the SSD media
+ * channel — reports each traced service commitment as a sim::ServiceRecord
+ * without knowing telemetry exists; the resource's LaneTap turns the record
+ * into a contention attribution and then a trace span.
  *
  * One LaneTap serves one resource. Style selects the span shape:
  *  - kPipe: lane = name = the resource's label, "bytes" span arg.
  *  - kCpu:  lane = "cpu", name = the work label, no payload arg.
+ *  - kSsd:  lane = "ssd", name = the work label, "bytes" span arg.
  */
 
 #ifndef DRAID_TELEMETRY_LANE_TAP_H
@@ -35,9 +34,16 @@ class LaneTap final : public sim::ServiceObserver
     {
         kPipe, ///< bandwidth lane: span lane/name = resource label
         kCpu,  ///< compute lane: span lane "cpu", name = work label
+        kSsd,  ///< media lane: span lane "ssd", name = work label
     };
 
-    explicit LaneTap(Style style = Style::kPipe) : style_(style) {}
+    explicit LaneTap(Style style = Style::kPipe)
+        : lane_(style == Style::kCpu   ? "cpu"
+                : style == Style::kSsd ? "ssd"
+                                       : nullptr),
+          withBytes_(style != Style::kCpu)
+    {
+    }
 
     /** Attach a span sink; spans land on node @p node. */
     void bindTrace(Tracer *tracer, sim::NodeId node)
@@ -59,7 +65,8 @@ class LaneTap final : public sim::ServiceObserver
     void onService(const sim::ServiceRecord &rec) override;
 
   private:
-    Style style_;
+    const char *lane_; ///< fixed span lane; nullptr = the record's label
+    bool withBytes_;   ///< attach the record's bytes as a span arg
     Tracer *tracer_ = nullptr;
     sim::NodeId node_ = 0;
     ContentionTracker *contention_ = nullptr;

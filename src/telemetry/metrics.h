@@ -28,10 +28,19 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace draid::telemetry {
+
+/**
+ * Write @p s as a JSON string literal, quotes included: '"', '\\', '\n'
+ * and '\t' get short escapes and every other byte below 0x20 becomes
+ * \u00XX, so the output is valid JSON for any input. The one escaper
+ * behind every telemetry export.
+ */
+void writeJsonString(std::ostream &os, std::string_view s);
 
 /** A monotonically increasing integer metric. */
 class Counter

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <limits>
@@ -25,16 +24,6 @@ percentileUs(const std::vector<sim::Tick> &sorted, double pct)
         rank = 1;
     rank = std::min(rank, sorted.size());
     return static_cast<double>(sorted[rank - 1]) / sim::kMicrosecond;
-}
-
-std::uint64_t
-spanBytes(const TraceSpan &span)
-{
-    for (const auto &[key, value] : span.args) {
-        if (key == "bytes")
-            return std::strtoull(value.c_str(), nullptr, 10);
-    }
-    return 0;
 }
 
 /** Fixed-precision double (JSON-safe: never nan/inf, always has digits). */
@@ -145,7 +134,7 @@ WindowedAggregator::addOpSpans(const std::vector<TraceSpan> &spans)
         if (std::strcmp(span.lane, "op") != 0)
             continue;
         addOp(sim::Ticks{span.end}, sim::Ticks{span.end - span.start},
-              spanBytes(span));
+              span.bytes());
     }
 }
 

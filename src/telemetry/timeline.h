@@ -114,10 +114,10 @@ class WindowedAggregator : public OpCompletionSink
     void addOp(sim::Ticks end, sim::Ticks latency, std::uint64_t bytes);
 
     /** OpCompletionSink: stream one completed root op in. */
-    void onOpComplete(const TraceSpan &root, std::uint64_t bytes) override
+    void onOpComplete(const TraceSpan &root) override
     {
         addOp(sim::Ticks{root.end}, sim::Ticks{root.end - root.start},
-              bytes);
+              root.bytes());
     }
 
     /**

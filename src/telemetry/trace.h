@@ -12,9 +12,17 @@
  *  - Zero overhead when off: mint() returns 0 while neither export tracing
  *    nor the flight recorder is active, and every recording call is gated
  *    on a nonzero id, so the fully-dark path costs one predictable branch.
+ *  - No allocation per span: a TraceSpan is a trivially copyable value —
+ *    static-literal lane and name, at most two numeric args — built by
+ *    one aggregate initialisation at the recording site and formatted
+ *    only at export.
  *  - Observe only, never schedule: recording appends to an in-memory
  *    vector; the tracer holds no Simulator reference and cannot create
  *    events, so enabling tracing cannot perturb event ordering.
+ *
+ * Every FIFO resource (NIC pipes, CPU cores, the SSD channel) reaches the
+ * tracer through its telemetry::LaneTap; the op, lock, rebuild and fabric
+ * spans are recorded directly by their owners.
  *
  * Export is Chrome trace_event JSON ("X" complete events + "C" counter
  * samples + "M" metadata), loadable in chrome://tracing or Perfetto.
@@ -27,6 +35,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,21 +47,33 @@ namespace draid::telemetry {
 
 class ExemplarReservoir;
 
+/** One numeric span arg; key nullptr marks an unused slot. */
+struct SpanArg
+{
+    const char *key = nullptr; ///< static string, e.g. "bytes"
+    std::uint64_t value = 0;
+};
+
 /** One timed span on one node's lane. */
 struct TraceSpan
 {
+    static constexpr std::size_t kMaxArgs = 2;
+
     std::uint64_t traceId = 0; ///< 0 = not tied to a user op
     sim::NodeId node = 0;      ///< Chrome pid
     const char *lane = "";     ///< Chrome tid name: "op", "nic.tx", "ssd"...
-    std::string name;          ///< e.g. "draid.write", "ssd.read"
+    const char *name = "";     ///< static string: "draid.write", "ssd.read"
     sim::Tick start = 0;
     sim::Tick end = 0;
     /** Owning tenant (ContentionTracker id); 0 = untracked. */
     std::uint32_t tenant = 0;
-    /** Small key/value payload shown in the trace viewer. */
-    // draid-lint: cap(a few key/value pairs per span; call sites add O(1))
-    std::vector<std::pair<std::string, std::string>> args;
+    /** Payload shown in the trace viewer, in slot order. */
+    SpanArg args[kMaxArgs] = {};
+
+    /** The "bytes" arg (0 if absent). */
+    std::uint64_t bytes() const;
 };
+static_assert(std::is_trivially_copyable_v<TraceSpan>);
 
 /** One sample of a counter timeline (utilization plots). */
 struct CounterSample
@@ -72,8 +93,7 @@ class OpCompletionSink
 {
   public:
     virtual ~OpCompletionSink() = default;
-    /** @p bytes parsed from the root span's "bytes" arg (0 if absent). */
-    virtual void onOpComplete(const TraceSpan &root, std::uint64_t bytes) = 0;
+    virtual void onOpComplete(const TraceSpan &root) = 0;
 };
 
 /** Span sink + trace-id mint. */
@@ -106,7 +126,7 @@ class Tracer
      * ring; retained for export only while enabled(), the trace id is
      * sampled, and the span cap is not hit.
      */
-    void recordSpan(TraceSpan span);
+    void recordSpan(const TraceSpan &span);
 
     /**
      * Append the root "op" span of a completed user op. Beyond the normal
@@ -116,7 +136,7 @@ class Tracer
      * other. Array entry points (DraidHost, HostCentricRaid) call this
      * instead of recordSpan() for the root span.
      */
-    void recordOpCompletion(TraceSpan span);
+    void recordOpCompletion(const TraceSpan &span);
 
     /** Streaming consumer of op completions (nullptr detaches). */
     void bindOpSink(OpCompletionSink *sink) { opSink_ = sink; }
@@ -211,7 +231,7 @@ class Tracer
     const SelfCost &counterCost() const { return counterCost_; }
 
     /** Approximate heap bytes retained (spans + counters + pending
-     *  exemplar chains; size-based, so deterministic across runs). */
+     *  exemplar chains; count-based, so deterministic across runs). */
     std::uint64_t retainedBytes() const;
 
     /** Emit the whole trace as Chrome trace_event JSON. */
@@ -223,7 +243,7 @@ class Tracer
   private:
     /** Shared retention path; @p completion marks a root op span (already
      *  routed through sink/reservoir, so no pending-chain stash). */
-    void ingestSpan(TraceSpan span, bool completion);
+    void ingestSpan(const TraceSpan &span, bool completion);
     /** Buffer a sub-span until its op completes (exemplar chains). */
     void stashPending(const TraceSpan &span);
     /** Halve retained counter resolution (stride doubling). */

@@ -116,9 +116,11 @@ TEST(SimProfiler, HeapStatsAndHistogramsMatchHandBuiltSchedule)
     // Batch sizes 8 and 1 land in bins 3 and 0.
     EXPECT_EQ(report.batchHist[SimProfiler::binFor(8)], 1u);
     EXPECT_EQ(report.batchHist[SimProfiler::binFor(1)], 1u);
-    for (std::size_t b = 0; b < SimProfiler::kHistBins; ++b)
-        if (b != 0 && b != 3)
+    for (std::size_t b = 0; b < SimProfiler::kHistBins; ++b) {
+        if (b != 0 && b != 3) {
             EXPECT_EQ(report.batchHist[b], 0u) << "bin " << b;
+        }
+    }
     // Queue depths observed at push time: 1..9 → bins 0,1,1,2,2,2,2,3,3.
     EXPECT_EQ(report.depthHist[0], 1u);
     EXPECT_EQ(report.depthHist[1], 2u);

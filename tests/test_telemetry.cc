@@ -9,9 +9,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "draid_test_util.h"
+#include "telemetry/lane_tap.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -155,7 +157,7 @@ TEST(Tracer, EnabledMintsSequentialIdsAndKeepsSpans)
     inner.name = "ssd.write";
     inner.start = 300;
     inner.end = 600;
-    inner.args.emplace_back("bytes", "4096");
+    inner.args[0] = {"bytes", 4096};
 
     t.recordSpan(outer);
     t.recordSpan(inner);
@@ -167,7 +169,8 @@ TEST(Tracer, EnabledMintsSequentialIdsAndKeepsSpans)
     EXPECT_EQ(o.traceId, i.traceId);
     EXPECT_GE(i.start, o.start);
     EXPECT_LE(i.end, o.end);
-    EXPECT_EQ(i.args[0].first, "bytes");
+    EXPECT_STREQ(i.args[0].key, "bytes");
+    EXPECT_EQ(i.bytes(), 4096u);
 }
 
 TEST(Tracer, SpanCapDropsButCounts)
@@ -275,7 +278,7 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed)
     s.name = "xfer \"quoted\"\\slash"; // must be escaped in the output
     s.start = 1000;
     s.end = 2500;
-    s.args.emplace_back("bytes", "128");
+    s.args[0] = {"bytes", 128};
     t.recordSpan(std::move(s));
     t.recordCounter(1, "nic.tx.util", 2000, 0.75);
 
@@ -285,6 +288,122 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed)
     EXPECT_NE(json.find("\"host0\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(Tracer, ChromeExportWritesArgsAsQuotedStringsInSlotOrder)
+{
+    telemetry::Tracer t;
+    t.setEnabled(true);
+    t.setNodeName(0, "host0");
+    t.recordSpan({.traceId = t.mint(),
+                  .node = 0,
+                  .lane = "rebuild",
+                  .name = "rebuild.stripe",
+                  .start = 1500,
+                  .end = 4250,
+                  .args = {{"stripe", 17}, {"ok", 1}}});
+    ASSERT_EQ(t.spans().size(), 1u);
+    EXPECT_EQ(t.spans().front().bytes(), 0u); // no "bytes" slot
+
+    EXPECT_EQ(t.toChromeTraceJson(),
+              "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+              "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
+              "\"args\":{\"name\":\"host0\"}},\n"
+              "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,"
+              "\"args\":{\"name\":\"rebuild\"}},\n"
+              "{\"ph\":\"X\",\"name\":\"rebuild.stripe\",\"cat\":\"draid\","
+              "\"pid\":0,\"tid\":1,\"ts\":1.500,\"dur\":2.750,"
+              "\"args\":{\"trace\":1,\"stripe\":\"17\",\"ok\":\"1\"}}\n"
+              "]}");
+}
+
+TEST(TelemetryJson, ControlBytesExportAsUnicodeEscapes)
+{
+    // A raw byte below 0x20 inside a JSON string is invalid JSON; every
+    // exporter writes it as \u00XX.
+    telemetry::Tracer t;
+    t.setEnabled(true);
+    telemetry::TraceSpan s;
+    s.traceId = t.mint();
+    s.name = "ctl\x01span";
+    t.recordSpan(std::move(s));
+    const std::string trace = t.toChromeTraceJson();
+    EXPECT_TRUE(JsonChecker(trace).valid()) << trace;
+    EXPECT_NE(trace.find("\"name\":\"ctl\\u0001span\""), std::string::npos)
+        << trace;
+
+    telemetry::MetricsRegistry reg;
+    telemetry::MetricScope root(reg, "");
+    root.counter("ctl\x01metric").inc(2);
+    const std::string metrics = reg.toJson();
+    EXPECT_TRUE(JsonChecker(metrics).valid()) << metrics;
+    EXPECT_NE(metrics.find("\"ctl\\u0001metric\""), std::string::npos)
+        << metrics;
+}
+
+// --- SSD lane -----------------------------------------------------------
+
+TEST(SsdTrace, TracedReadAndWriteRecordChannelSpans)
+{
+    sim::Simulator sim;
+    nvme::SsdConfig cfg;
+    cfg.capacity = 1ull << 20;
+    nvme::Ssd ssd(sim, cfg);
+
+    telemetry::Tracer tracer;
+    tracer.setEnabled(true);
+    telemetry::ContentionTracker ct;
+    ct.setEnabled(true);
+    using RK = telemetry::ContentionTracker::ResourceKind;
+    const auto res = ct.registerResource(3, RK::SsdChannel);
+    const auto victim = ct.registerTenant("victim");
+    const auto aggressor = ct.registerTenant("aggressor");
+    telemetry::LaneTap tap(telemetry::LaneTap::Style::kSsd);
+    tap.bindTrace(&tracer, 3);
+    tap.bindContention(&ct, res);
+    ssd.setObserver(&tap);
+
+    // An aggressor write, then a victim read queued behind it at the same
+    // tick, then an untraced read (no span).
+    ct.noteOpStart(1, aggressor);
+    ct.noteOpStart(2, victim);
+    int done = 0;
+    ssd.write(0, ec::Buffer(8192), 1,
+              [&](blockdev::IoStatus) { ++done; });
+    const sim::Tick writeEnd = ssd.channel().busyUntil().raw();
+    ssd.read(0, 4096, 2, [&](blockdev::IoStatus, ec::Buffer) { ++done; });
+    const sim::Tick readEnd = ssd.channel().busyUntil().raw();
+    ssd.read(0, 4096, [&](blockdev::IoStatus, ec::Buffer) { ++done; });
+    sim.run();
+    EXPECT_EQ(done, 3);
+
+    const auto &spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    const telemetry::TraceSpan &w = spans[0];
+    const telemetry::TraceSpan &r = spans[1];
+    EXPECT_EQ(w.traceId, 1u);
+    EXPECT_EQ(w.node, 3u);
+    EXPECT_EQ(std::string_view(w.lane), "ssd");
+    EXPECT_EQ(std::string_view(w.name), "ssd.write");
+    EXPECT_EQ(w.bytes(), 8192u); // logical length, not channel units
+    EXPECT_EQ(w.start, 0);
+    EXPECT_EQ(w.end, writeEnd);
+    EXPECT_EQ(w.tenant, aggressor);
+
+    EXPECT_EQ(r.traceId, 2u);
+    EXPECT_EQ(r.node, 3u);
+    EXPECT_EQ(std::string_view(r.lane), "ssd");
+    EXPECT_EQ(std::string_view(r.name), "ssd.read");
+    EXPECT_EQ(r.bytes(), 4096u);
+    EXPECT_EQ(r.start, writeEnd); // queued behind the write
+    EXPECT_EQ(r.end, readEnd);
+    EXPECT_EQ(r.tenant, victim);
+
+    // The read's whole wait is blamed on the write's tenant.
+    EXPECT_EQ(ct.waitedOps(), 1u);
+    EXPECT_EQ(ct.totalWaitTicks(), writeEnd);
+    EXPECT_EQ(ct.totalBlameTicks(), writeEnd);
+    EXPECT_EQ(ct.blameTicks(victim, aggressor, RK::SsdChannel), writeEnd);
 }
 
 // --- end to end ---------------------------------------------------------

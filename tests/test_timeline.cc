@@ -170,7 +170,7 @@ TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
     op.name = "draid.read";
     op.start = 100;
     op.end = 600;
-    op.args.emplace_back("bytes", "4096");
+    op.args[0] = {"bytes", 4096};
 
     telemetry::TraceSpan ssd = op;
     ssd.lane = "ssd"; // sub-span: must not be double-counted
@@ -246,8 +246,8 @@ syntheticReport()
         s.end = s.start + 80;
         // The dip: ops in [3000, 7000) carry fewer bytes.
         const bool dip = s.end >= 3000 && s.end < 7000;
-        s.args.emplace_back("bytes", dip ? "512" : "8192");
-        spans.push_back(std::move(s));
+        s.args[0] = {"bytes", dip ? 512u : 8192u};
+        spans.push_back(s);
     }
     std::vector<telemetry::EventJournal::Event> events;
     events.push_back({telemetry::EventType::kRebuildStarted, 0, 3000, 8, 0});
