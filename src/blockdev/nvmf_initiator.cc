@@ -93,16 +93,13 @@ void
 NvmfInitiator::arm(std::uint64_t id, Pending p)
 {
     pending_.emplace(id, std::move(p));
-    cluster_.sim().schedule(cluster_.config().opTimeout, "nvmf.timeout",
-                            [this, id]() { onTimeout(id); });
+    cluster_.deadlines().arm(*this, id, "nvmf.timeout");
 }
 
 void
-NvmfInitiator::onTimeout(std::uint64_t id)
+NvmfInitiator::expire(std::uint64_t id)
 {
     auto it = pending_.find(id);
-    if (it == pending_.end())
-        return; // completed in time
     Pending p = std::move(it->second);
     pending_.erase(it);
     ++timeouts_;

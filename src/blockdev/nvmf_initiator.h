@@ -34,8 +34,12 @@ struct CommandIdAllocator
     std::uint64_t alloc() { return next++; }
 };
 
-/** Host-side initiator multiplexing all remote targets. */
-class NvmfInitiator
+/**
+ * Host-side initiator multiplexing all remote targets. Every command arms
+ * the cluster's deadline queue; one still pending at its deadline
+ * completes with IoStatus::kTimedOut.
+ */
+class NvmfInitiator : private sim::DeadlineClient
 {
   public:
     NvmfInitiator(cluster::Cluster &cluster, CommandIdAllocator &ids);
@@ -75,7 +79,12 @@ class NvmfInitiator
     };
 
     void arm(std::uint64_t id, Pending p);
-    void onTimeout(std::uint64_t id);
+
+    bool inFlight(std::uint64_t id) const override
+    {
+        return pending_.contains(id);
+    }
+    void expire(std::uint64_t id) override;
 
     cluster::Cluster &cluster_;
     CommandIdAllocator &ids_;

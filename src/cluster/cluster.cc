@@ -6,7 +6,8 @@ namespace draid::cluster {
 
 Cluster::Cluster(const TestbedConfig &config, std::uint32_t num_targets,
                  std::vector<double> target_goodputs)
-    : config_(config), sim_(), fabric_(sim_, config.propagation)
+    : config_(config), sim_(), deadlines_(sim_, config.opTimeout),
+      fabric_(sim_, config.propagation)
 {
     fabric_.bindTrace(&telemetry_.tracer());
     host_ = std::make_unique<Node>(sim_, hostId(), config.nicGoodput100g,

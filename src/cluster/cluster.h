@@ -15,6 +15,7 @@
 #include "cluster/node.h"
 #include "cluster/testbed.h"
 #include "net/fabric.h"
+#include "sim/deadline_queue.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 
@@ -35,6 +36,14 @@ class Cluster
             std::vector<double> target_goodputs = {});
 
     sim::Simulator &sim() { return sim_; }
+
+    /**
+     * The one §5.4 deadline queue, delay config().opTimeout. Every
+     * controller and initiator on this testbed arms it, so operations
+     * armed in one tick expire in arm order whoever owns them.
+     */
+    sim::DeadlineQueue &deadlines() { return deadlines_; }
+
     net::Fabric &fabric() { return fabric_; }
     const TestbedConfig &config() const { return config_; }
 
@@ -89,6 +98,7 @@ class Cluster
 
     TestbedConfig config_;
     sim::Simulator sim_;
+    sim::DeadlineQueue deadlines_;
     net::Fabric fabric_;
     telemetry::Telemetry telemetry_;
     std::unique_ptr<Node> host_;

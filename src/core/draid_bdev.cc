@@ -253,21 +253,8 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
                                cmd.fwdOffset, partial, cmd.dataIdx,
                                cmd.traceId);
             }
-            if (cmd.nextDest2 != sim::kInvalidNode) {
-                // Q-bound copy: apply g^idx at the sender so the reducer
-                // stays a pure XOR machine (late-Parity safe). The handle
-                // starts shared with the P-bound bytes, which
-                // applyQCoefficient reads but replaces rather than mutates.
-                ec::Buffer qcopy = partial;
-                applyQCoefficient(qcopy, cmd.dataIdx);
-                node_.cpu().executeBytes(
-                    qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(), cmd.traceId,
-                    "parity.gf", [this, cmd, relay, qcopy]() {
-                        forwardPartial(opOf(cmd.commandId), cmd.nextDest2,
-                                       relay, cmd.fwdOffset, qcopy,
-                                       cmd.dataIdx, cmd.traceId);
-                    });
-            }
+            if (cmd.nextDest2 != sim::kInvalidNode)
+                forwardQPartial(cmd, relay, partial);
         };
         auto do_write = [this, cmd, from, new_data]() {
             if (cmd.length == 0)
@@ -577,11 +564,15 @@ DraidBdev::handleReconstruction(const net::Message &msg)
                     });
             } else {
                 // §6.1: prioritize the partial over the direct read path.
-                forwardPartial(opOf(cmd.commandId), cmd.nextDest,
-                               opts_.p2pForwarding ? sim::kInvalidNode
-                                                   : from,
+                const sim::NodeId relay =
+                    opts_.p2pForwarding ? sim::kInvalidNode : from;
+                forwardPartial(opOf(cmd.commandId), cmd.nextDest, relay,
                                cmd.fwdOffset, recon, cmd.dataIdx,
                                cmd.traceId);
+                // A RAID-6 degraded write into the failed chunk also
+                // names the Q bdev, which waits for every survivor.
+                if (cmd.nextDest2 != sim::kInvalidNode)
+                    forwardQPartial(cmd, relay, recon);
             }
 
             if (also_read) {
@@ -619,6 +610,21 @@ DraidBdev::forwardPartial(std::uint64_t op_id, sim::NodeId dest,
     const sim::NodeId to = relay != sim::kInvalidNode ? relay : dest;
     cluster_.fabric().send(net::Message{node_.id(), to, std::move(peer),
                                         std::move(partial)});
+}
+
+void
+DraidBdev::forwardQPartial(const proto::Capsule &cmd, sim::NodeId relay,
+                           ec::Buffer partial)
+{
+    // The handle may share bytes with the P-bound copy; applyQCoefficient
+    // reads them but replaces rather than mutates.
+    applyQCoefficient(partial, cmd.dataIdx);
+    node_.cpu().executeBytes(
+        partial.size(), cluster_.config().gfBw, sim::Ticks::zero(),
+        cmd.traceId, "parity.gf", [this, cmd, relay, partial]() {
+            forwardPartial(opOf(cmd.commandId), cmd.nextDest2, relay,
+                           cmd.fwdOffset, partial, cmd.dataIdx, cmd.traceId);
+        });
 }
 
 void

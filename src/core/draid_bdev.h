@@ -91,6 +91,14 @@ class DraidBdev : public blockdev::NvmfTarget
                         std::uint64_t trace = 0);
 
     /**
+     * Forward g^idx * @p partial to the Q bdev (cmd.nextDest2): the GF
+     * multiply runs at the sender, so the reducer stays a pure XOR
+     * machine (late-Parity safe).
+     */
+    void forwardQPartial(const proto::Capsule &cmd, sim::NodeId relay,
+                         ec::Buffer partial);
+
+    /**
      * Apply the Q coefficient g^idx to a partial result (CPU-charged).
      * @p partial is replaced by a fresh buffer; the bytes it referred to
      * are only read, so they may be shared with other handles.

@@ -31,7 +31,6 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
       geom_(makeGeometry(options, width_)),
       planner_(geom_),
       initiator_(cluster, ids_),
-      deadlines_(cluster.sim()),
       rng_(options.seed)
 {
     assert(width_ <= cluster.numTargets());
@@ -48,8 +47,6 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
     writeLocks_.bindJournal(&cluster_.telemetry().journal(),
                             cluster_.hostId(),
                             [this] { return cluster_.sim().now().raw(); });
-    deadlines_.bindJournal(&cluster_.telemetry().journal(),
-                           cluster_.hostId());
 
     if (opts_.reducerPolicy == ReducerPolicy::kBwAware) {
         auto sel = std::make_unique<BwAwareReducerSelector>(
@@ -168,8 +165,7 @@ DraidHost::registerOp(std::set<std::uint8_t> subs,
     p.onData = std::move(on_data);
     p.onDone = std::move(on_done);
     pending_.emplace(op, std::move(p));
-    deadlines_.arm(op, cluster_.config().opTimeout,
-                   [this, op]() { expireOp(op); });
+    cluster_.deadlines().arm(*this, op, "failure.deadline");
     return op;
 }
 
@@ -188,7 +184,6 @@ DraidHost::completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
     if (p.onData && !payload.empty())
         p.onData(sub, std::move(payload));
     if (p.waitingSubs.empty()) {
-        deadlines_.disarm(op);
         auto done = std::move(p.onDone);
         const bool success = !p.anyFailure;
         pending_.erase(it);
@@ -198,13 +193,14 @@ DraidHost::completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
 }
 
 void
-DraidHost::expireOp(std::uint64_t op)
+DraidHost::expire(std::uint64_t op)
 {
     auto it = pending_.find(op);
-    if (it == pending_.end())
-        return;
+    const sim::Tick now = cluster_.sim().now().raw();
+    cluster_.telemetry().journal().record(telemetry::EventType::kOpTimeout,
+                                          cluster_.hostId(), now, op);
     cluster_.telemetry().flightRecorder().noteAbnormal(
-        "op.timeout", op, cluster_.hostId(), cluster_.sim().now().raw());
+        "op.timeout", op, cluster_.hostId(), now);
     lastExpiredSubs_ = it->second.waitingSubs;
     auto done = std::move(it->second.onDone);
     pending_.erase(it);

@@ -28,7 +28,6 @@
 #include "cluster/cluster.h"
 #include "core/bw_aware.h"
 #include "core/draid.h"
-#include "core/failure.h"
 #include "net/fabric.h"
 #include "raid/stripe_lock.h"
 #include "raid/write_plan.h"
@@ -50,7 +49,9 @@ struct HostCounters
 };
 
 /** The dRAID virtual block device. */
-class DraidHost : public blockdev::BlockDevice, public net::Endpoint
+class DraidHost : public blockdev::BlockDevice,
+                  public net::Endpoint,
+                  private sim::DeadlineClient
 {
   public:
     /**
@@ -150,7 +151,14 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
                              std::function<void(bool)> on_done);
     void completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
                      ec::Buffer payload);
-    void expireOp(std::uint64_t op);
+
+    bool inFlight(std::uint64_t op) const override
+    {
+        return pending_.contains(op);
+    }
+
+    /** §5.4 expiry: journal OpTimeout, fail the op (its owner retries). */
+    void expire(std::uint64_t op) override;
 
     // ---- write path ----
     struct StripeWrite
@@ -249,7 +257,6 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     blockdev::CommandIdAllocator ids_;
     blockdev::NvmfInitiator initiator_;
     raid::StripeLockTable writeLocks_;
-    DeadlineTable deadlines_;
     sim::Rng rng_;
 
     std::optional<std::uint32_t> failed_;

@@ -1,43 +1,8 @@
 #include "core/failure.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace draid::core {
-
-void
-DeadlineTable::arm(std::uint64_t id, sim::Ticks delay,
-                   std::function<void()> expire)
-{
-    const std::uint64_t gen = nextGen_++;
-    armed_[id] = gen;
-    sim_.schedule(delay, "failure.deadline",
-                  [this, id, gen, expire = std::move(expire)]() {
-        auto it = armed_.find(id);
-        if (it == armed_.end() || it->second != gen)
-            return; // disarmed or re-armed since
-        armed_.erase(it);
-        ++expired_;
-        if (journal_) {
-            journal_->record(telemetry::EventType::kOpTimeout, journalNode_,
-                             sim_.now().raw(), id);
-        }
-        expire();
-    });
-}
-
-void
-DeadlineTable::bindJournal(telemetry::EventJournal *journal, sim::NodeId node)
-{
-    journal_ = journal;
-    journalNode_ = node;
-}
-
-void
-DeadlineTable::disarm(std::uint64_t id)
-{
-    armed_.erase(id);
-}
 
 // ---------------------------------------------------------------------------
 // FailureTracker

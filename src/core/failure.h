@@ -1,66 +1,20 @@
 /**
  * @file
- * Failure-handling helpers (paper §5.4): explicit per-operation deadlines.
- *
- * dRAID sets an upper bound on the execution time of every operation; an
- * expired operation generates an explicit event at the host-side
- * controller, which retries with a full-stripe write only after every
- * sub-operation has reached a final state.
+ * Array-level failure accounting for fault campaigns (paper §5.4, §6).
+ * The §5.4 per-operation deadlines live in sim::DeadlineQueue, one per
+ * cluster.
  */
 
 #ifndef DRAID_CORE_FAILURE_H
 #define DRAID_CORE_FAILURE_H
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "sim/types.h"
 #include "telemetry/event_journal.h"
 
 namespace draid::core {
-
-/**
- * Cancellable one-shot deadlines keyed by operation id.
- *
- * arm() schedules the expiry callback; disarm() (on normal completion)
- * guarantees the callback never fires. Re-arming an id supersedes the
- * previous deadline.
- */
-class DeadlineTable
-{
-  public:
-    explicit DeadlineTable(sim::Simulator &sim) : sim_(sim) {}
-
-    /** Arm (or re-arm) a deadline @p delay from now. */
-    void arm(std::uint64_t id, sim::Ticks delay, std::function<void()> expire);
-
-    /** Cancel the deadline; no-op if not armed. */
-    void disarm(std::uint64_t id);
-
-    bool isArmed(std::uint64_t id) const { return armed_.contains(id); }
-
-    std::uint64_t expiredCount() const { return expired_; }
-
-    /**
-     * Attach the cluster event journal: every expiry also records an
-     * OpTimeout event (a = operation id) as node @p node. Observe-only.
-     */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node);
-
-  private:
-    sim::Simulator &sim_;
-    // id -> generation; a scheduled event only fires its callback when the
-    // generation it captured is still current.
-    // draid-lint: cap(one generation per device id; fixed topology)
-    std::unordered_map<std::uint64_t, std::uint64_t> armed_;
-    std::uint64_t nextGen_ = 1;
-    std::uint64_t expired_ = 0;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
-};
 
 /**
  * Array-level failure accounting for fault campaigns: tracks which member

@@ -29,7 +29,24 @@ void
 Simulator::scheduleAt(Ticks when, const char *label, EventFn fn)
 {
     assert(when >= now_);
-    heap_.push_back(Event{when, seq_++, label, std::move(fn)});
+    push(when, seq_++, label, std::move(fn));
+}
+
+void
+Simulator::scheduleReserved(Ticks when, std::uint64_t seq, const char *label,
+                            EventFn fn)
+{
+    // A reserved number sorts ahead of events already drained into the
+    // current batch, so it must not land on the current tick.
+    assert(when > now_);
+    assert(seq < seq_);
+    push(when, seq, label, std::move(fn));
+}
+
+void
+Simulator::push(Ticks when, std::uint64_t seq, const char *label, EventFn fn)
+{
+    heap_.push_back(Event{when, seq, label, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
     if (engineObserver_)
         engineObserver_->onSchedule(when, label, pendingEvents());

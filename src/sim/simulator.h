@@ -113,6 +113,22 @@ class Simulator
     void scheduleAt(Ticks when, const char *label, EventFn fn);
 
     /**
+     * Take the next FIFO sequence number now, for an event that is
+     * pushed later with scheduleReserved(). The event then fires where
+     * one scheduled at this moment would have: ahead of every same-tick
+     * event scheduled after the reservation.
+     */
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    /**
+     * Schedule @p fn at absolute tick @p when under sequence number
+     * @p seq from reserveSeq(). Each reserved number is used at most once.
+     * @pre when > now()
+     */
+    void scheduleReserved(Ticks when, std::uint64_t seq, const char *label,
+                          EventFn fn);
+
+    /**
      * Run until the event queue drains or stop() is called. Not
      * reentrant: events must not call run()/runUntil() themselves (use
      * stop() and resume from the driver instead; draid-lint rule
@@ -183,6 +199,9 @@ class Simulator
             return a.seq > b.seq;
         }
     };
+
+    /** Push one event onto the heap and notify the observer. */
+    void push(Ticks when, std::uint64_t seq, const char *label, EventFn fn);
 
     /**
      * Move every event at tick @p when from the heap into batch_ (in FIFO

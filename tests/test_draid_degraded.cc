@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "draid_test_util.h"
 
@@ -85,7 +87,9 @@ TEST_P(DraidDegraded, DegradedWriteToUntouchedFailedChunkUsesRmw)
     std::vector<std::uint8_t> model;
     preload(rig, 2 * g.stripeDataSize(), model);
 
-    const std::uint32_t failed_dev = 0;
+    // A device holding data in stripe 0 at both levels (at RAID-6 width
+    // 6, device 0 holds stripe 0's Q).
+    const std::uint32_t failed_dev = g.dataDevice(0, 2);
     rig.host().markFailed(failed_dev);
 
     // Write a chunk that is NOT on the failed device.
@@ -238,6 +242,62 @@ TEST_P(DraidDegraded, MixedWorkloadWhileDegradedStaysConsistent)
                               static_cast<std::uint32_t>(span), &ok);
     ASSERT_TRUE(ok);
     EXPECT_EQ(std::memcmp(all.data(), model.data(), span), 0);
+}
+
+// RAID-6 degraded write into the failed chunk itself, for every failed
+// data position: the survivors feed both the P and the Q bdev, so the
+// write finishes without an op timeout or a retry, P and Q both match the
+// model, and Q alone recovers the lost chunk.
+TEST(DraidDegradedRaid6, TargetedWriteKeepsPAndQForEveryFailedPosition)
+{
+    const DraidOptions o = opts(RaidLevel::kRaid6);
+    const raid::Geometry g(o.level, o.chunkSize, 6);
+    for (std::uint32_t fidx = 0; fidx < g.dataChunks(); ++fidx) {
+        SCOPED_TRACE("failed data index " + std::to_string(fidx));
+        DraidRig rig(6, o);
+        std::vector<std::uint8_t> model;
+        preload(rig, 2 * g.stripeDataSize(), model);
+        rig.host().markFailed(g.dataDevice(0, fidx));
+
+        const std::uint64_t chunk_off =
+            static_cast<std::uint64_t>(fidx) * g.chunkSize();
+        ec::Buffer data(9000);
+        data.fillPattern(600 + fidx);
+        ASSERT_TRUE(writeSync(rig.sim(), rig.host(), chunk_off + 7000, data));
+        std::memcpy(model.data() + chunk_off + 7000, data.data(),
+                    data.size());
+
+        EXPECT_EQ(rig.host().counters().retries, 0u);
+        for (const auto &ev : rig.cluster->telemetry().journal().snapshot())
+            EXPECT_NE(ev.type, telemetry::EventType::kOpTimeout);
+
+        // P and Q on the drives against the model's stripe 0 (the lost
+        // chunk's bytes live only in the parity until a rebuild).
+        auto store = [&](std::uint32_t dev) {
+            return rig.cluster->target(dev).ssd().store().readSync(
+                g.deviceAddress(0, 0), g.chunkSize());
+        };
+        std::vector<ec::Buffer> expect(g.dataChunks());
+        std::vector<ec::Buffer> survivors(g.dataChunks());
+        for (std::uint32_t i = 0; i < g.dataChunks(); ++i) {
+            expect[i] = ec::Buffer(g.chunkSize());
+            std::memcpy(expect[i].data(),
+                        model.data() +
+                            static_cast<std::uint64_t>(i) * g.chunkSize(),
+                        g.chunkSize());
+            if (i != fidx)
+                survivors[i] = store(g.dataDevice(0, i));
+        }
+        ec::Buffer p, q;
+        ec::Raid6Codec::computePQ(expect, p, q);
+        EXPECT_TRUE(store(g.parityDevice(0)).contentEquals(p));
+        const ec::Buffer q_disk = store(g.qDevice(0));
+        EXPECT_TRUE(q_disk.contentEquals(q));
+
+        const ec::Buffer lost =
+            ec::Raid6Codec::recoverDataWithQ(survivors, q_disk, fidx);
+        EXPECT_TRUE(lost.contentEquals(expect[fidx]));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, DraidDegraded,

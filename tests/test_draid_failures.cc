@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "blockdev/nvmf_initiator.h"
 #include "draid_test_util.h"
 
 using namespace draid;
@@ -180,4 +183,59 @@ TEST(DraidFailures, DeadlinesDisarmOnSuccess)
     rig.sim().runFor(sim::Ticks::ms(200));
     EXPECT_EQ(rig.host().counters().retries, 0u);
     EXPECT_EQ(rig.host().counters().failovers, 0u);
+}
+
+// §5.4 timeouts share one clock: an initiator I/O and a dRAID op armed in
+// the same tick expire at arm + opTimeout in arm order, ahead of a plain
+// event scheduled for that tick after them and behind one scheduled
+// before them. The dRAID expiry journals one OpTimeout, and a drained
+// run() ends exactly on the expiry tick.
+TEST(DraidFailures, SameTickTimeoutsExpireInArmOrder)
+{
+    DraidRig rig(7, opts(), 6);
+    const auto &g = rig.host().geometry();
+    sim::Simulator &sim = rig.sim();
+    rig.sim().runFor(sim::Ticks::ms(1));
+    const sim::Ticks t0 = sim.now();
+    const sim::Ticks expiry = t0 + rig.cfg.opTimeout;
+
+    // Stripe 0 loses a data chunk; its P holder is down as well, so the
+    // rebuild onto the spare (target 6) can never finish.
+    const std::uint32_t p_dev = g.parityDevice(0);
+    rig.host().markFailed(g.dataDevice(0, 0));
+    rig.cluster->failTarget(p_dev);
+
+    std::vector<std::string> order;
+    sim.scheduleAt(expiry, [&]() { order.push_back("before"); });
+
+    blockdev::CommandIdAllocator ids;
+    blockdev::NvmfInitiator initiator(*rig.cluster, ids);
+    initiator.readRemote(p_dev, 0, 4096,
+                         [&](blockdev::IoStatus st, ec::Buffer) {
+                             EXPECT_EQ(st, blockdev::IoStatus::kTimedOut);
+                             EXPECT_EQ(sim.now(), expiry);
+                             order.push_back("nvmf");
+                         });
+    rig.host().reconstructChunk(0, 6, [&](bool ok) {
+        EXPECT_FALSE(ok);
+        EXPECT_EQ(sim.now(), expiry);
+        order.push_back("draid");
+    });
+    sim.scheduleAt(expiry, [&]() { order.push_back("after"); });
+
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"before", "nvmf", "draid",
+                                               "after"}));
+    EXPECT_EQ(initiator.timeoutsFired(), 1u);
+    EXPECT_EQ(initiator.pendingOps(), 0u);
+    EXPECT_EQ(sim.now(), expiry);
+
+    std::vector<telemetry::EventJournal::Event> timeouts;
+    for (const auto &ev : rig.cluster->telemetry().journal().snapshot()) {
+        if (ev.type == telemetry::EventType::kOpTimeout)
+            timeouts.push_back(ev);
+    }
+    ASSERT_EQ(timeouts.size(), 1u);
+    EXPECT_EQ(timeouts[0].tick, expiry.raw());
+    EXPECT_EQ(timeouts[0].node, rig.cluster->hostId());
 }

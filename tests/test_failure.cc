@@ -1,4 +1,3 @@
-// DeadlineTable: arm/disarm/re-arm semantics (§5.4 explicit timeouts).
 // FailureTracker: multi-failure ordering and data-loss promotion.
 
 #include <gtest/gtest.h>
@@ -6,88 +5,12 @@
 #include <vector>
 
 #include "core/failure.h"
-#include "sim/simulator.h"
 #include "telemetry/event_journal.h"
 
-using draid::core::DeadlineTable;
 using draid::core::FailureTracker;
-using draid::sim::Simulator;
 using draid::sim::Ticks;
 using draid::telemetry::EventJournal;
 using draid::telemetry::EventType;
-
-TEST(DeadlineTable, FiresAfterDelay)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    bool fired = false;
-    t.arm(1, Ticks{1000}, [&]() { fired = true; });
-    sim.runUntil(Ticks{999});
-    EXPECT_FALSE(fired);
-    sim.run();
-    EXPECT_TRUE(fired);
-    EXPECT_EQ(t.expiredCount(), 1u);
-    EXPECT_FALSE(t.isArmed(1));
-}
-
-TEST(DeadlineTable, DisarmPreventsFiring)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    bool fired = false;
-    t.arm(1, Ticks{1000}, [&]() { fired = true; });
-    t.disarm(1);
-    sim.run();
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(t.expiredCount(), 0u);
-}
-
-TEST(DeadlineTable, ReArmSupersedes)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    int fired = 0;
-    t.arm(1, Ticks{1000}, [&]() { fired = 1; });
-    t.arm(1, Ticks{5000}, [&]() { fired = 2; });
-    sim.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(t.expiredCount(), 1u);
-}
-
-TEST(DeadlineTable, IndependentIds)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    bool a = false, b = false;
-    t.arm(1, Ticks{100}, [&]() { a = true; });
-    t.arm(2, Ticks{200}, [&]() { b = true; });
-    t.disarm(1);
-    sim.run();
-    EXPECT_FALSE(a);
-    EXPECT_TRUE(b);
-}
-
-TEST(DeadlineTable, DisarmAfterFiringIsNoOp)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    t.arm(1, Ticks{10}, []() {});
-    sim.run();
-    t.disarm(1); // must not crash or corrupt
-    EXPECT_FALSE(t.isArmed(1));
-}
-
-TEST(DeadlineTable, IdReusableAfterExpiry)
-{
-    Simulator sim;
-    DeadlineTable t(sim);
-    int fired = 0;
-    t.arm(1, Ticks{10}, [&]() { ++fired; });
-    sim.run();
-    t.arm(1, Ticks{10}, [&]() { ++fired; });
-    sim.run();
-    EXPECT_EQ(fired, 2);
-}
 
 // Two DriveFailed in the same tick on a RAID-5 array: the second must
 // promote to data loss, and the journal must carry the exact ordered
