@@ -52,34 +52,6 @@ HostCentricRaid::HostCentricRaid(cluster::Cluster &cluster,
         &scope.histogram("write_latency_us", telemetry::latencyBucketsUs());
 }
 
-void
-HostCentricRaid::finishOpSpan(std::uint64_t trace, const char *name,
-                              sim::Ticks start, std::uint64_t bytes,
-                              telemetry::Histogram *lat_us)
-{
-    const sim::Ticks end = cluster_.sim().now();
-    if (lat_us)
-        lat_us->observe(static_cast<double>((end - start).raw()) /
-                        sim::kMicrosecond);
-    telemetry::ContentionTracker &ct = cluster_.telemetry().contention();
-    const std::uint32_t tenant = ct.tenantOf(trace);
-    if (ct.enabled())
-        ct.noteOpComplete(trace, end.raw(), (end - start).raw(), bytes);
-    telemetry::Tracer &tracer = cluster_.tracer();
-    if (trace == 0 || !tracer.active())
-        return;
-    // Root op span: routes through the op-completion path (streaming
-    // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion({.traceId = trace,
-                               .node = cluster_.hostId(),
-                               .lane = "op",
-                               .name = name,
-                               .start = start.raw(),
-                               .end = end.raw(),
-                               .tenant = tenant,
-                               .args = {{"bytes", bytes}}});
-}
-
 std::uint64_t
 HostCentricRaid::sizeBytes() const
 {
@@ -148,6 +120,30 @@ struct WriteTally
 
 } // namespace
 
+auto
+HostCentricRaid::joinWrites(std::shared_ptr<StripeWrite> sw, int n)
+{
+    auto tally = std::make_shared<WriteTally>();
+    tally->remaining = n;
+    return [this, sw = std::move(sw), tally](std::uint32_t dev) {
+        return [this, sw, tally, dev](blockdev::IoStatus st) {
+            if (st != blockdev::IoStatus::kOk) {
+                tally->ok = false;
+                if (st == blockdev::IoStatus::kTimedOut)
+                    tally->suspect = dev;
+            }
+            if (--tally->remaining == 0) {
+                if (tally->ok) {
+                    sw->done(true);
+                } else {
+                    sw->suspect = tally->suspect;
+                    retryStripe(sw);
+                }
+            }
+        };
+    };
+}
+
 void
 HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
                        blockdev::WriteCallback cb)
@@ -159,8 +155,10 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
     const std::uint64_t op_bytes = data.size();
     auto wrapped = [this, cb, trace, op_start,
                     op_bytes](blockdev::IoStatus st) {
-        finishOpSpan(trace, "raid.write", op_start, op_bytes,
-                     writeLatencyUs_);
+        cluster_.telemetry().finishOp(trace, "raid.write",
+                                      cluster_.hostId(), op_start,
+                                      cluster_.sim().now(), op_bytes,
+                                      writeLatencyUs_);
         cb(st);
     };
     auto plans = planner_.plan(offset, data.size());
@@ -173,14 +171,14 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
         std::size_t pos = 0;
         for (auto &plan : plans) {
             auto sw = std::make_shared<StripeWrite>();
-            sw->plan = plan;
+            sw->plan = std::move(plan);
             sw->retriesLeft = tuning_.maxRetries;
             sw->traceId = trace;
-            for (const auto &seg : plan.writes) {
+            for (const auto &seg : sw->plan.writes) {
                 sw->segData.push_back(data.slice(pos, seg.length));
                 pos += seg.length;
             }
-            const std::uint64_t stripe = plan.stripe;
+            const std::uint64_t stripe = sw->plan.stripe;
             sw->done = [this, stripe, remaining, all_ok,
                         wrapped](bool ok) {
                 locks_.release(stripe);
@@ -206,99 +204,41 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
 void
 HostCentricRaid::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
 {
-    const std::uint64_t stripe = sw->plan.stripe;
-
     if (!failed_) {
-        switch (sw->plan.mode) {
-          case raid::WriteMode::kFullStripe:
-            doFullStripe(sw);
-            return;
-          case raid::WriteMode::kReadModifyWrite:
-            doRmw(sw);
-            return;
-          case raid::WriteMode::kReconstructWrite:
-            doRcw(sw, std::nullopt);
-            return;
-        }
+        doPlanned(sw);
+        return;
     }
 
     ++counters_.degradedWrites;
-    const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
-    if (role == raid::ChunkRole::kParityP &&
-        geom_.level() == raid::RaidLevel::kRaid5) {
+    auto d = planner_.planDegraded(sw->plan, *failed_);
+    switch (d.kind) {
+      case raid::DegradedWriteKind::kNormal:
+      case raid::DegradedWriteKind::kForcedRmw:
+        doPlanned(sw);
+        return;
+      case raid::DegradedWriteKind::kParityLess:
         doParityLess(sw);
         return;
-    }
-    if (role != raid::ChunkRole::kData) {
-        // One parity lost; the normal flow skips it.
-        switch (sw->plan.mode) {
-          case raid::WriteMode::kFullStripe:
-            doFullStripe(sw);
-            return;
-          case raid::WriteMode::kReadModifyWrite:
-            doRmw(sw);
-            return;
-          case raid::WriteMode::kReconstructWrite:
-            doRcw(sw, std::nullopt);
-            return;
-        }
+      case raid::DegradedWriteKind::kTargeted:
+        break;
     }
 
-    const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
-    const auto written =
-        std::find_if(sw->plan.writes.begin(), sw->plan.writes.end(),
-                     [fidx](const raid::WriteSegment &s) {
-                         return s.dataIdx == fidx;
-                     });
-    if (sw->plan.mode == raid::WriteMode::kFullStripe) {
-        doFullStripe(sw);
-        return;
-    }
-    if (written == sw->plan.writes.end()) {
-        // Untouched failed chunk cancels out of the delta: force RMW.
-        auto &plan = sw->plan;
-        plan.mode = raid::WriteMode::kReadModifyWrite;
-        plan.rcwReads.clear();
-        std::uint32_t lo = geom_.chunkSize(), hi = 0;
-        for (const auto &s : plan.writes) {
-            lo = std::min(lo, s.offset);
-            hi = std::max(hi, s.offset + s.length);
-        }
-        plan.parityOffset = lo;
-        plan.parityLength = hi - lo;
-        doRmw(sw);
-        return;
-    }
-    // Peel the failed chunk's segment off: surviving segments go through
-    // an ordinary RMW sub-op, then the failed segment updates the parity
-    // window directly from the survivors' slices (no reconstruction
-    // round-trip — the same targeted path dRAID uses, only host-centric).
-    const raid::WriteSegment failed_seg = *written;
-    const std::size_t seg_pos =
-        static_cast<std::size_t>(written - sw->plan.writes.begin());
-    ec::Buffer failed_data = sw->segData[seg_pos];
-    sw->plan.writes.erase(written);
+    // Surviving segments go through an ordinary RMW sub-op, then the
+    // failed segment updates the parity window directly from the
+    // survivors' slices (no reconstruction round-trip — the same targeted
+    // path dRAID uses, only host-centric).
+    ec::Buffer failed_data = std::move(sw->segData[d.failedPos]);
     sw->segData.erase(sw->segData.begin() +
-                      static_cast<std::ptrdiff_t>(seg_pos));
-
-    if (sw->plan.writes.empty()) {
-        doDegradedTargeted(sw, failed_seg, std::move(failed_data));
+                      static_cast<std::ptrdiff_t>(d.failedPos));
+    if (!d.phase1) {
+        doDegradedTargeted(sw, d.failedSeg, std::move(failed_data));
         return;
     }
     auto phase1 = std::make_shared<StripeWrite>();
-    phase1->plan = sw->plan;
-    phase1->plan.mode = raid::WriteMode::kReadModifyWrite;
-    phase1->plan.rcwReads.clear();
-    std::uint32_t lo = geom_.chunkSize(), hi = 0;
-    for (const auto &s : phase1->plan.writes) {
-        lo = std::min(lo, s.offset);
-        hi = std::max(hi, s.offset + s.length);
-    }
-    phase1->plan.parityOffset = lo;
-    phase1->plan.parityLength = hi - lo;
+    phase1->plan = std::move(*d.phase1);
     phase1->segData = sw->segData;
     phase1->retriesLeft = sw->retriesLeft;
-    phase1->done = [this, sw, failed_seg,
+    phase1->done = [this, sw, failed_seg = d.failedSeg,
                     failed_data = std::move(failed_data)](bool ok) mutable {
         if (!ok) {
             sw->done(false);
@@ -307,6 +247,22 @@ HostCentricRaid::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
         doDegradedTargeted(sw, failed_seg, std::move(failed_data));
     };
     doRmw(phase1);
+}
+
+void
+HostCentricRaid::doPlanned(std::shared_ptr<StripeWrite> sw)
+{
+    switch (sw->plan.mode) {
+      case raid::WriteMode::kFullStripe:
+        doFullStripe(sw);
+        return;
+      case raid::WriteMode::kReadModifyWrite:
+        doRmw(sw);
+        return;
+      case raid::WriteMode::kReconstructWrite:
+        doRcw(sw, std::nullopt);
+        return;
+    }
 }
 
 void
@@ -357,36 +313,12 @@ HostCentricRaid::doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
                   [this, sw, stripe, addr, p = std::move(p),
                    q = std::move(q), raid6]() mutable {
             const std::uint64_t trace = sw->traceId;
-            auto tally = std::make_shared<WriteTally>();
-            tally->remaining = 1 + (raid6 ? 1 : 0);
-            auto finish = [this, sw, tally](std::uint32_t dev,
-                                            blockdev::IoStatus st) {
-                if (st != blockdev::IoStatus::kOk) {
-                    tally->ok = false;
-                    if (st == blockdev::IoStatus::kTimedOut)
-                        tally->suspect = dev;
-                }
-                if (--tally->remaining == 0) {
-                    if (tally->ok) {
-                        sw->done(true);
-                    } else {
-                        sw->suspect = tally->suspect;
-                        retryStripe(sw);
-                    }
-                }
-            };
+            auto join = joinWrites(sw, 1 + (raid6 ? 1 : 0));
             const std::uint32_t p_dev = geom_.parityDevice(stripe);
-            initiator_.writeRemote(p_dev, addr, p,
-                                   [finish, p_dev](blockdev::IoStatus st) {
-                                       finish(p_dev, st);
-                                   }, trace);
+            initiator_.writeRemote(p_dev, addr, p, join(p_dev), trace);
             if (raid6) {
                 const std::uint32_t q_dev = geom_.qDevice(stripe);
-                initiator_.writeRemote(
-                    q_dev, addr, q,
-                    [finish, q_dev](blockdev::IoStatus st) {
-                        finish(q_dev, st);
-                    }, trace);
+                initiator_.writeRemote(q_dev, addr, q, join(q_dev), trace);
             }
         }, sw->traceId);
     };
@@ -453,38 +385,21 @@ HostCentricRaid::doFullStripe(std::shared_ptr<StripeWrite> sw)
             if (raid6)
                 ios.emplace_back(geom_.qDevice(stripe), q);
 
-            auto tally = std::make_shared<WriteTally>();
+            int writes = 0;
             std::uint64_t total_bytes = 0;
             for (auto &[dev, buf] : ios) {
                 if (failed_ && dev == *failed_)
                     continue;
-                ++tally->remaining;
+                ++writes;
                 total_bytes += buf.size();
             }
-            assert(tally->remaining > 0);
-            chargeDataPath(total_bytes, [this, sw, addr, ios, tally]() {
+            assert(writes > 0);
+            chargeDataPath(total_bytes, [this, sw, addr, ios,
+                                         join = joinWrites(sw, writes)]() {
                 for (const auto &[dev, buf] : ios) {
-                    if (failed_ && dev == *failed_)
-                        continue;
-                    const std::uint32_t d = dev;
-                    initiator_.writeRemote(
-                        d, addr, buf,
-                        [this, sw, tally, d](blockdev::IoStatus st) {
-                            if (st != blockdev::IoStatus::kOk) {
-                                tally->ok = false;
-                                if (st == blockdev::IoStatus::kTimedOut)
-                                    tally->suspect = d;
-                            }
-                            if (--tally->remaining == 0) {
-                                if (tally->ok) {
-                                    sw->done(true);
-                                } else {
-                                    if (tally->suspect)
-                                        sw->suspect = tally->suspect;
-                                    retryStripe(sw);
-                                }
-                            }
-                        }, sw->traceId);
+                    if (!(failed_ && dev == *failed_))
+                        initiator_.writeRemote(dev, addr, buf, join(dev),
+                                               sw->traceId);
                 }
             }, sw->traceId);
         };
@@ -552,59 +467,33 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
             const std::uint64_t paddr =
                 geom_.deviceAddress(stripe, sw->plan.parityOffset);
 
-            auto tally = std::make_shared<WriteTally>();
             std::uint64_t bytes = 0;
-            tally->remaining = static_cast<int>(sw->plan.writes.size()) +
-                               (p_alive ? 1 : 0) + (q_alive ? 1 : 0);
             for (const auto &seg : sw->plan.writes)
                 bytes += seg.length;
             bytes += (p_alive ? new_p.size() : 0) +
                      (q_alive ? new_q.size() : 0);
-
-            auto finish = [this, sw, tally](std::uint32_t dev,
-                                            blockdev::IoStatus st) {
-                if (st != blockdev::IoStatus::kOk) {
-                    tally->ok = false;
-                    if (st == blockdev::IoStatus::kTimedOut)
-                        tally->suspect = dev;
-                }
-                if (--tally->remaining == 0) {
-                    if (tally->ok) {
-                        sw->done(true);
-                    } else {
-                        sw->suspect = tally->suspect;
-                        retryStripe(sw);
-                    }
-                }
-            };
+            auto join = joinWrites(sw,
+                                   static_cast<int>(sw->plan.writes.size()) +
+                                       (p_alive ? 1 : 0) + (q_alive ? 1 : 0));
 
             chargeDataPath(bytes, [this, sw, stripe, paddr, new_p, new_q,
                                    p_alive, q_alive, p_dev, q_dev,
-                                   finish]() {
+                                   join]() {
                 for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
                     const auto &seg = sw->plan.writes[i];
                     const std::uint32_t dev =
                         geom_.dataDevice(stripe, seg.dataIdx);
                     initiator_.writeRemote(
                         dev, geom_.deviceAddress(stripe, seg.offset),
-                        sw->segData[i],
-                        [finish, dev](blockdev::IoStatus st) {
-                            finish(dev, st);
-                        }, sw->traceId);
+                        sw->segData[i], join(dev), sw->traceId);
                 }
                 if (p_alive) {
-                    initiator_.writeRemote(
-                        p_dev, paddr, new_p,
-                        [finish, p_dev](blockdev::IoStatus st) {
-                            finish(p_dev, st);
-                        }, sw->traceId);
+                    initiator_.writeRemote(p_dev, paddr, new_p, join(p_dev),
+                                           sw->traceId);
                 }
                 if (q_alive) {
-                    initiator_.writeRemote(
-                        q_dev, paddr, new_q,
-                        [finish, q_dev](blockdev::IoStatus st) {
-                            finish(q_dev, st);
-                        }, sw->traceId);
+                    initiator_.writeRemote(q_dev, paddr, new_q, join(q_dev),
+                                           sw->traceId);
                 }
             }, sw->traceId);
         }, sw->traceId);
@@ -727,11 +616,10 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
                 const bool q_alive =
                     raid6 && !(failed_ && *failed_ == q_dev);
 
-                auto tally = std::make_shared<WriteTally>();
-                tally->remaining =
+                const int writes =
                     static_cast<int>(sw->plan.writes.size()) +
                     (p_alive ? 1 : 0) + (q_alive ? 1 : 0);
-                if (tally->remaining == 0) {
+                if (writes == 0) {
                     sw->done(true);
                     return;
                 }
@@ -741,24 +629,9 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
                 bytes += (p_alive ? p.size() : 0) +
                          (q_alive ? q.size() : 0);
 
-                auto finish = [this, sw, tally](std::uint32_t dev,
-                                                blockdev::IoStatus st) {
-                    if (st != blockdev::IoStatus::kOk) {
-                        tally->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            tally->suspect = dev;
-                    }
-                    if (--tally->remaining == 0) {
-                        if (tally->ok) {
-                            sw->done(true);
-                        } else {
-                            sw->suspect = tally->suspect;
-                            retryStripe(sw);
-                        }
-                    }
-                };
                 chargeDataPath(bytes, [this, sw, stripe, p, q, p_dev,
-                                       q_dev, p_alive, q_alive, finish]() {
+                                       q_dev, p_alive, q_alive,
+                                       join = joinWrites(sw, writes)]() {
                     const std::uint64_t addr =
                         geom_.deviceAddress(stripe, 0);
                     for (std::size_t i = 0; i < sw->plan.writes.size();
@@ -768,24 +641,15 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
                             geom_.dataDevice(stripe, seg.dataIdx);
                         initiator_.writeRemote(
                             dev, geom_.deviceAddress(stripe, seg.offset),
-                            sw->segData[i],
-                            [finish, dev](blockdev::IoStatus st) {
-                                finish(dev, st);
-                            }, sw->traceId);
+                            sw->segData[i], join(dev), sw->traceId);
                     }
                     if (p_alive) {
-                        initiator_.writeRemote(
-                            p_dev, addr, p,
-                            [finish, p_dev](blockdev::IoStatus st) {
-                                finish(p_dev, st);
-                            }, sw->traceId);
+                        initiator_.writeRemote(p_dev, addr, p, join(p_dev),
+                                               sw->traceId);
                     }
                     if (q_alive) {
-                        initiator_.writeRemote(
-                            q_dev, addr, q,
-                            [finish, q_dev](blockdev::IoStatus st) {
-                                finish(q_dev, st);
-                            }, sw->traceId);
+                        initiator_.writeRemote(q_dev, addr, q, join(q_dev),
+                                               sw->traceId);
                     }
                 }, sw->traceId);
             };
@@ -842,34 +706,17 @@ void
 HostCentricRaid::doParityLess(std::shared_ptr<StripeWrite> sw)
 {
     const std::uint64_t stripe = sw->plan.stripe;
-    auto tally = std::make_shared<WriteTally>();
-    tally->remaining = static_cast<int>(sw->plan.writes.size());
     std::uint64_t bytes = 0;
     for (const auto &seg : sw->plan.writes)
         bytes += seg.length;
-    chargeDataPath(bytes, [this, sw, stripe, tally]() {
+    auto join = joinWrites(sw, static_cast<int>(sw->plan.writes.size()));
+    chargeDataPath(bytes, [this, sw, stripe, join]() {
         for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
             const auto &seg = sw->plan.writes[i];
-            const std::uint32_t dev =
-                geom_.dataDevice(stripe, seg.dataIdx);
-            initiator_.writeRemote(
-                dev, geom_.deviceAddress(stripe, seg.offset),
-                sw->segData[i],
-                [this, sw, tally, dev](blockdev::IoStatus st) {
-                    if (st != blockdev::IoStatus::kOk) {
-                        tally->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            tally->suspect = dev;
-                    }
-                    if (--tally->remaining == 0) {
-                        if (tally->ok) {
-                            sw->done(true);
-                        } else {
-                            sw->suspect = tally->suspect;
-                            retryStripe(sw);
-                        }
-                    }
-                }, sw->traceId);
+            const std::uint32_t dev = geom_.dataDevice(stripe, seg.dataIdx);
+            initiator_.writeRemote(dev,
+                                   geom_.deviceAddress(stripe, seg.offset),
+                                   sw->segData[i], join(dev), sw->traceId);
         }
     }, sw->traceId);
 }
@@ -903,17 +750,8 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
     const std::uint64_t trace = cluster_.tracer().mint();
     cluster_.telemetry().contention().noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
-    auto extents = geom_.map(offset, length);
     ec::Buffer out(length);
-
-    std::vector<std::pair<std::uint64_t, std::vector<GroupExtent>>> groups;
-    std::size_t pos = 0;
-    for (const auto &e : extents) {
-        if (groups.empty() || groups.back().first != e.stripe)
-            groups.push_back({e.stripe, {}});
-        groups.back().second.push_back(GroupExtent{e, pos});
-        pos += e.length;
-    }
+    auto groups = geom_.groupByStripe(offset, length);
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
@@ -922,8 +760,10 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
-            finishOpSpan(trace, "raid.read", op_start, length,
-                         readLatencyUs_);
+            cluster_.telemetry().finishOp(trace, "raid.read",
+                                          cluster_.hostId(), op_start,
+                                          cluster_.sim().now(), length,
+                                          readLatencyUs_);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);
@@ -932,8 +772,9 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 
     auto submit = [this, groups = std::move(groups), out, group_done,
                    trace]() mutable {
-        for (auto &[stripe, ge] : groups)
-            readStripeGroup(stripe, std::move(ge), out, group_done, trace);
+        for (auto &g : groups)
+            readStripeGroup(g.stripe, std::move(g.extents), out,
+                            group_done, trace);
     };
     cluster_.sim().schedule(tuning_.queueDelay, "hostraid.queue",
                             [this, submit, trace]() mutable {
@@ -944,7 +785,7 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 
 void
 HostCentricRaid::readStripeGroup(std::uint64_t stripe,
-                                 std::vector<GroupExtent> extents,
+                                 std::vector<raid::GroupExtent> extents,
                                  ec::Buffer out,
                                  std::function<void(bool)> done,
                                  std::uint64_t trace)
@@ -961,7 +802,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
                 done = std::move(done), trace]() mutable {
         const bool has_failed =
             failed_ && std::any_of(extents.begin(), extents.end(),
-                                   [this](const GroupExtent &g) {
+                                   [this](const raid::GroupExtent &g) {
                                        return geom_.dataDevice(
                                                   g.extent.stripe,
                                                   g.extent.dataIdx) ==
@@ -1015,7 +856,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
 
 void
 HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
-                                    std::vector<GroupExtent> extents,
+                                    std::vector<raid::GroupExtent> extents,
                                     ec::Buffer out,
                                     std::function<void(bool)> done,
                                     std::uint64_t trace)
@@ -1024,7 +865,7 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
     const auto failed_it =
         std::find_if(extents.begin(), extents.end(),
-                     [fidx](const GroupExtent &g) {
+                     [fidx](const raid::GroupExtent &g) {
                          return g.extent.dataIdx == fidx;
                      });
     assert(failed_it != extents.end());
@@ -1042,8 +883,8 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     };
     auto ctx = std::make_shared<Ctx>();
 
-    auto extents_shared =
-        std::make_shared<std::vector<GroupExtent>>(std::move(extents));
+    auto extents_shared = std::make_shared<std::vector<raid::GroupExtent>>(
+        std::move(extents));
 
     auto finish = [this, ctx, out, fpos, fl, trace,
                    done = std::move(done)]() mutable {
@@ -1135,8 +976,8 @@ HostCentricRaid::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
     if (failed_ && dev == *failed_) {
         ec::Buffer out(chunk);
-        std::vector<GroupExtent> extents{
-            GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
+        std::vector<raid::GroupExtent> extents{
+            raid::GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
         degradedStripeRead(stripe, std::move(extents), out,
                            [cb, out](bool ok) { cb(ok, out); }, trace);
         return;
@@ -1162,8 +1003,10 @@ HostCentricRaid::reconstructChunk(std::uint64_t stripe,
     const sim::Ticks op_start = cluster_.sim().now();
     done = [this, trace, op_start, inner = std::move(done),
             chunk_bytes = geom_.chunkSize()](bool ok) {
-        finishOpSpan(trace, "raid.reconstruct", op_start, chunk_bytes,
-                     nullptr);
+        cluster_.telemetry().finishOp(trace, "raid.reconstruct",
+                                      cluster_.hostId(), op_start,
+                                      cluster_.sim().now(), chunk_bytes,
+                                      nullptr);
         inner(ok);
     };
     const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);

@@ -133,7 +133,10 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
         std::uint64_t traceId = 0; ///< telemetry trace of the user op
     };
 
+    /** Dispatch over the planner's (degraded) decision for @p sw. */
     void executeStripeWrite(std::shared_ptr<StripeWrite> sw);
+    /** Run @p sw's plan as planned: full stripe, RMW or RCW. */
+    void doPlanned(std::shared_ptr<StripeWrite> sw);
     void doFullStripe(std::shared_ptr<StripeWrite> sw);
     void doRmw(std::shared_ptr<StripeWrite> sw);
     void doRcw(std::shared_ptr<StripeWrite> sw,
@@ -147,20 +150,23 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     void doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
                             const raid::WriteSegment &seg, ec::Buffer data);
     void retryStripe(std::shared_ptr<StripeWrite> sw);
+    /**
+     * Join @p n device writes of one attempt at @p sw: returns a factory
+     * whose call with a device yields that write's callback. The last
+     * callback runs done(true), or a retry that suspects the device that
+     * timed out.
+     */
+    auto joinWrites(std::shared_ptr<StripeWrite> sw, int n);
 
     // --- read path ---
-    struct GroupExtent
-    {
-        raid::Extent extent;
-        std::size_t outPos;
-    };
-
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<GroupExtent> extents, ec::Buffer out,
+                         std::vector<raid::GroupExtent> extents,
+                         ec::Buffer out,
                          std::function<void(bool)> done,
                          std::uint64_t trace = 0);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<GroupExtent> extents, ec::Buffer out,
+                            std::vector<raid::GroupExtent> extents,
+                            ec::Buffer out,
                             std::function<void(bool)> done,
                             std::uint64_t trace = 0);
 
@@ -180,14 +186,6 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
                    std::uint64_t trace = 0);
     void chargeGf(std::uint64_t bytes, sim::EventFn fn,
                   std::uint64_t trace = 0);
-
-    /**
-     * Observe an op's end-to-end latency and, when traced, record the
-     * host-side "op" lane span covering it.
-     */
-    void finishOpSpan(std::uint64_t trace, const char *name,
-                      sim::Ticks start, std::uint64_t bytes,
-                      telemetry::Histogram *lat_us);
 
     cluster::Cluster &cluster_;
     HostRaidTuning tuning_;

@@ -44,9 +44,9 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
     lockRes_ = contention_->registerResource(
         cluster_.hostId(),
         telemetry::ContentionTracker::ResourceKind::StripeLock);
-    writeLocks_.bindJournal(&cluster_.telemetry().journal(),
-                            cluster_.hostId(),
-                            [this] { return cluster_.sim().now().raw(); });
+    stripeLocks_.bindJournal(&cluster_.telemetry().journal(),
+                             cluster_.hostId(),
+                             [this] { return cluster_.sim().now().raw(); });
 
     if (opts_.reducerPolicy == ReducerPolicy::kBwAware) {
         auto sel = std::make_unique<BwAwareReducerSelector>(
@@ -91,35 +91,6 @@ DraidHost::setupTelemetry()
                                       telemetry::latencyBucketsUs());
     writeLatencyUs_ = &scope.histogram("write_latency_us",
                                        telemetry::latencyBucketsUs());
-}
-
-void
-DraidHost::finishOpSpan(std::uint64_t trace, const char *name,
-                        sim::Ticks start, std::uint64_t bytes,
-                        telemetry::Histogram *lat_us)
-{
-    const sim::Ticks end = cluster_.sim().now();
-    if (lat_us)
-        lat_us->observe(static_cast<double>((end - start).raw()) /
-                        sim::kMicrosecond);
-    // Capture the tenant before noteOpComplete releases the binding.
-    const std::uint32_t tenant = contention_->tenantOf(trace);
-    if (contention_->enabled())
-        contention_->noteOpComplete(trace, end.raw(), (end - start).raw(),
-                                    bytes);
-    telemetry::Tracer &tracer = cluster_.tracer();
-    if (trace == 0 || !tracer.active())
-        return;
-    // Root op span: routes through the op-completion path (streaming
-    // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion({.traceId = trace,
-                               .node = cluster_.hostId(),
-                               .lane = "op",
-                               .name = name,
-                               .start = start.raw(),
-                               .end = end.raw(),
-                               .tenant = tenant,
-                               .args = {{"bytes", bytes}}});
 }
 
 void
@@ -334,22 +305,24 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
     auto all_ok = std::make_shared<bool>(true);
     auto wrapped = [this, cb = std::move(cb), trace, op_start,
                     op_bytes](blockdev::IoStatus st) {
-        finishOpSpan(trace, "draid.write", op_start, op_bytes,
-                     writeLatencyUs_);
+        cluster_.telemetry().finishOp(trace, "draid.write",
+                                      cluster_.hostId(), op_start,
+                                      cluster_.sim().now(), op_bytes,
+                                      writeLatencyUs_);
         cb(st);
     };
 
     std::size_t pos = 0;
     for (auto &plan : plans) {
         auto sw = std::make_shared<StripeWrite>();
-        sw->plan = plan;
+        sw->plan = std::move(plan);
         sw->retriesLeft = opts_.maxRetries;
         sw->traceId = trace;
-        for (const auto &seg : plan.writes) {
+        for (const auto &seg : sw->plan.writes) {
             sw->segData.push_back(data.slice(pos, seg.length));
             pos += seg.length;
         }
-        const std::uint64_t stripe = plan.stripe;
+        const std::uint64_t stripe = sw->plan.stripe;
         sw->done = [this, stripe, remaining, all_ok, wrapped](bool ok) {
             // Close the hold window before the release hands the lock to
             // the next waiter, so that waiter's blame split can see it.
@@ -357,7 +330,7 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
                 contention_->closeOccupancy(lockRes_,
                                             cluster_.sim().now().raw(),
                                             stripe);
-            writeLocks_.release(stripe);
+            stripeLocks_.release(stripe);
             if (!ok)
                 *all_ok = false;
             if (--*remaining == 0)
@@ -365,7 +338,7 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
                                 : blockdev::IoStatus::kError);
         };
         const sim::Ticks lock_req = cluster_.sim().now();
-        writeLocks_.acquire(stripe, [this, sw, stripe, lock_req]() {
+        stripeLocks_.acquire(stripe, [this, sw, stripe, lock_req]() {
             if (contention_->enabled()) {
                 const sim::Ticks now = cluster_.sim().now();
                 // Blame the grant delay on the writers that held the lock
@@ -386,109 +359,40 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
 void
 DraidHost::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
 {
-    const std::uint64_t stripe = sw->plan.stripe;
-
     if (!failed_) {
-        if (sw->plan.mode == raid::WriteMode::kFullStripe)
-            executeFullStripe(sw);
-        else
-            executePartialStripe(sw);
+        executePlanned(sw);
         return;
     }
 
     ++counters_.degradedWrites;
-    const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
-
-    if (role == raid::ChunkRole::kParityP) {
-        if (geom_.level() == raid::RaidLevel::kRaid5) {
-            // No parity to maintain: plain writes of the data segments.
-            executeParityLessWrite(sw);
-        } else {
-            // Keep Q, skip P.
-            if (sw->plan.mode == raid::WriteMode::kFullStripe)
-                executeFullStripe(sw);
-            else
-                executePartialStripe(sw);
-        }
+    auto d = planner_.planDegraded(sw->plan, *failed_);
+    switch (d.kind) {
+      case raid::DegradedWriteKind::kNormal:
+      case raid::DegradedWriteKind::kForcedRmw:
+        executePlanned(sw);
         return;
-    }
-    if (role == raid::ChunkRole::kParityQ) {
-        // Q lost: run the ordinary (P-only) flow.
-        if (sw->plan.mode == raid::WriteMode::kFullStripe)
-            executeFullStripe(sw);
-        else
-            executePartialStripe(sw);
+      case raid::DegradedWriteKind::kParityLess:
+        executeParityLessWrite(sw);
         return;
+      case raid::DegradedWriteKind::kTargeted:
+        break;
     }
 
-    // Failed device holds a data chunk of this stripe.
-    const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
-    const auto written =
-        std::find_if(sw->plan.writes.begin(), sw->plan.writes.end(),
-                     [fidx](const raid::WriteSegment &s) {
-                         return s.dataIdx == fidx;
-                     });
-
-    if (sw->plan.mode == raid::WriteMode::kFullStripe) {
-        executeFullStripe(sw); // skips the failed device's write
-        return;
-    }
-
-    if (written == sw->plan.writes.end()) {
-        // Untouched failed chunk: its (unknown) old content cancels out of
-        // the parity delta, so read-modify-write works unmodified.
-        auto &plan = sw->plan;
-        plan.mode = raid::WriteMode::kReadModifyWrite;
-        plan.rcwReads.clear();
-        std::uint32_t lo = geom_.chunkSize(), hi = 0;
-        for (const auto &s : plan.writes) {
-            lo = std::min(lo, s.offset);
-            hi = std::max(hi, s.offset + s.length);
-        }
-        plan.parityOffset = lo;
-        plan.parityLength = hi - lo;
-        plan.waitNum = static_cast<std::uint32_t>(plan.writes.size());
-        executePartialStripe(sw);
-        return;
-    }
-
-    // The write touches the failed chunk itself. Peel its segment off and
-    // route it through the targeted parity update; any surviving written
-    // chunks go through an ordinary forced-RMW sub-operation first (the
-    // stripe lock is held across both, so the sequence is atomic with
-    // respect to other writers).
-    const raid::WriteSegment failed_seg = *written;
-    const std::size_t seg_pos =
-        static_cast<std::size_t>(written - sw->plan.writes.begin());
-    ec::Buffer failed_data = sw->segData[seg_pos];
-    sw->plan.writes.erase(written);
+    // The stripe lock is held across both phases, so the sequence is
+    // atomic with respect to other writers.
+    ec::Buffer failed_data = std::move(sw->segData[d.failedPos]);
     sw->segData.erase(sw->segData.begin() +
-                      static_cast<std::ptrdiff_t>(seg_pos));
-
-    if (sw->plan.writes.empty()) {
-        executeDegradedTargetedWrite(sw, failed_seg,
+                      static_cast<std::ptrdiff_t>(d.failedPos));
+    if (!d.phase1) {
+        executeDegradedTargetedWrite(sw, d.failedSeg,
                                      std::move(failed_data));
         return;
     }
-
-    // Phase 1: surviving segments via RMW (the failed chunk is untouched
-    // in this sub-op, so its unknown content cancels out of the delta).
     auto phase1 = std::make_shared<StripeWrite>();
-    phase1->plan = sw->plan;
-    phase1->plan.mode = raid::WriteMode::kReadModifyWrite;
-    phase1->plan.rcwReads.clear();
-    std::uint32_t lo = geom_.chunkSize(), hi = 0;
-    for (const auto &s : phase1->plan.writes) {
-        lo = std::min(lo, s.offset);
-        hi = std::max(hi, s.offset + s.length);
-    }
-    phase1->plan.parityOffset = lo;
-    phase1->plan.parityLength = hi - lo;
-    phase1->plan.waitNum =
-        static_cast<std::uint32_t>(phase1->plan.writes.size());
+    phase1->plan = std::move(*d.phase1);
     phase1->segData = sw->segData;
     phase1->retriesLeft = sw->retriesLeft;
-    phase1->done = [this, sw, failed_seg,
+    phase1->done = [this, sw, failed_seg = d.failedSeg,
                     failed_data = std::move(failed_data)](bool ok) mutable {
         if (!ok) {
             sw->done(false);
@@ -498,6 +402,15 @@ DraidHost::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
                                      std::move(failed_data));
     };
     executePartialStripe(phase1);
+}
+
+void
+DraidHost::executePlanned(std::shared_ptr<StripeWrite> sw)
+{
+    if (sw->plan.mode == raid::WriteMode::kFullStripe)
+        executeFullStripe(sw);
+    else
+        executePartialStripe(sw);
 }
 
 void
@@ -925,18 +838,8 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
     const std::uint64_t trace = cluster_.tracer().mint();
     contention_->noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
-    auto extents = geom_.map(offset, length);
     ec::Buffer out(length);
-
-    // Group extents by stripe, remembering each one's place in the output.
-    std::vector<std::pair<std::uint64_t, std::vector<GroupExtent>>> groups;
-    std::size_t pos = 0;
-    for (const auto &e : extents) {
-        if (groups.empty() || groups.back().first != e.stripe)
-            groups.push_back({e.stripe, {}});
-        groups.back().second.push_back(GroupExtent{e, pos});
-        pos += e.length;
-    }
+    auto groups = geom_.groupByStripe(offset, length);
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
@@ -945,32 +848,62 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
-            finishOpSpan(trace, "draid.read", op_start, length,
-                         readLatencyUs_);
+            cluster_.telemetry().finishOp(trace, "draid.read",
+                                          cluster_.hostId(), op_start,
+                                          cluster_.sim().now(), length,
+                                          readLatencyUs_);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);
         }
     };
 
-    for (auto &[stripe, ge] : groups)
-        readStripeGroup(stripe, std::move(ge), out, group_done, trace);
+    for (auto &g : groups)
+        readStripeGroup(g.stripe, std::move(g.extents), out, group_done,
+                        trace);
+}
+
+bool
+DraidHost::holdsFailedChunk(
+    const std::vector<raid::GroupExtent> &extents) const
+{
+    return failed_ && std::any_of(extents.begin(), extents.end(),
+                                  [this](const raid::GroupExtent &g) {
+                                      return deviceOf(g.extent) == *failed_;
+                                  });
 }
 
 void
 DraidHost::readStripeGroup(std::uint64_t stripe,
-                           std::vector<GroupExtent> extents, ec::Buffer out,
+                           std::vector<raid::GroupExtent> extents,
+                           ec::Buffer out,
                            std::function<void(bool)> done,
                            std::uint64_t trace)
 {
-    const bool has_failed_extent =
-        failed_ && std::any_of(extents.begin(), extents.end(),
-                               [this](const GroupExtent &g) {
-                                   return deviceOf(g.extent) == *failed_;
-                               });
-    if (has_failed_extent) {
-        degradedStripeRead(stripe, std::move(extents), out, std::move(done),
-                           trace);
+    if (holdsFailedChunk(extents)) {
+        // A reconstruction XORs survivors and parity, so it must not
+        // overlap a write to this stripe; degraded readers share the lock
+        // with each other. Taken here, not in degradedStripeRead: §5.4
+        // retry reaches that through readChunk under the writer's lock.
+        const sim::Ticks lock_req = cluster_.sim().now();
+        auto unlock = [this, stripe, done = std::move(done)](bool ok) {
+            stripeLocks_.release(stripe);
+            done(ok);
+        };
+        stripeLocks_.acquireShared(stripe, [this, stripe,
+                                            extents = std::move(extents),
+                                            out, unlock = std::move(unlock),
+                                            trace, lock_req]() mutable {
+            recordLockWait(trace, stripe, lock_req);
+            // The array may have left degraded state meanwhile; then this
+            // is a plain read.
+            if (holdsFailedChunk(extents))
+                degradedStripeRead(stripe, std::move(extents), out,
+                                   std::move(unlock), trace);
+            else
+                readStripeGroup(stripe, std::move(extents), out,
+                                std::move(unlock), trace);
+        });
         return;
     }
 
@@ -1017,7 +950,7 @@ DraidHost::reconParticipants(std::uint64_t stripe,
 
 void
 DraidHost::degradedStripeRead(std::uint64_t stripe,
-                              std::vector<GroupExtent> extents,
+                              std::vector<raid::GroupExtent> extents,
                               ec::Buffer out,
                               std::function<void(bool)> done,
                               std::uint64_t trace)
@@ -1028,7 +961,7 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
 
     const auto failed_it =
         std::find_if(extents.begin(), extents.end(),
-                     [fidx](const GroupExtent &g) {
+                     [fidx](const raid::GroupExtent &g) {
                          return g.extent.dataIdx == fidx;
                      });
     assert(failed_it != extents.end());
@@ -1053,8 +986,8 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
     }
 
     // Deliver payloads into the user buffer as they land.
-    auto extents_shared =
-        std::make_shared<std::vector<GroupExtent>>(std::move(extents));
+    auto extents_shared = std::make_shared<std::vector<raid::GroupExtent>>(
+        std::move(extents));
     auto on_data = [out, extents_shared, recon_out,
                     fidx](std::uint8_t sub, ec::Buffer payload) mutable {
         if (sub == kReducerSub) {
@@ -1082,7 +1015,7 @@ void
 DraidHost::registerAndBroadcastReconstruction(
     std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
     std::uint32_t reducer, std::uint32_t recon_off, std::uint32_t recon_len,
-    sim::NodeId spare_node, const std::vector<GroupExtent> &extents,
+    sim::NodeId spare_node, const std::vector<raid::GroupExtent> &extents,
     std::uint32_t fidx, std::function<void(std::uint8_t, ec::Buffer)> on_data,
     std::function<void(bool)> done, proto::Subtype base_subtype,
     std::uint64_t trace)
@@ -1105,7 +1038,7 @@ DraidHost::registerAndBroadcastReconstruction(
                                (geom_.level() == raid::RaidLevel::kRaid6 &&
                                 dev == geom_.qDevice(stripe));
         std::uint32_t idx = 0;
-        const GroupExtent *read_extent = nullptr;
+        const raid::GroupExtent *read_extent = nullptr;
         if (!is_parity) {
             idx = geom_.dataIndexOf(stripe, dev);
             for (const auto &g : extents) {
@@ -1154,8 +1087,8 @@ DraidHost::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
 
     if (failed_ && dev == *failed_) {
         ec::Buffer out(chunk);
-        std::vector<GroupExtent> extents{
-            GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
+        std::vector<raid::GroupExtent> extents{
+            raid::GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
         degradedStripeRead(stripe, std::move(extents), out,
                            [cb, out](bool ok) { cb(ok, out); }, trace);
         return;
@@ -1209,7 +1142,9 @@ DraidHost::reconstructChunk(std::uint64_t stripe, std::uint32_t spare_target,
     const sim::Ticks start = cluster_.sim().now();
     auto wrapped = [this, done = std::move(done), trace, start,
                     chunk](bool ok) {
-        finishOpSpan(trace, "draid.reconstruct", start, chunk, nullptr);
+        cluster_.telemetry().finishOp(trace, "draid.reconstruct",
+                                      cluster_.hostId(), start,
+                                      cluster_.sim().now(), chunk, nullptr);
         done(ok);
     };
     registerAndBroadcastReconstruction(

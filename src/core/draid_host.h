@@ -5,7 +5,9 @@
  * Exposes the virtual RAID block device. The host is a coordinator: it
  * admits one write per stripe (stripe locks with FIFO queueing), decides
  * the write mode, and orchestrates the disaggregated data path; bulk data
- * only crosses the host NIC once per user byte. Reads are lock-free (§8).
+ * only crosses the host NIC once per user byte. Normal reads are lock-free
+ * (§8); a degraded read takes its stripe's lock shared, so it never
+ * reconstructs from a half-applied write.
  *
  * Degraded operation, full-stripe retry on timeouts (§5.4), rebuild
  * orchestration and the bandwidth-aware reducer policy (§6.2) all live
@@ -129,7 +131,7 @@ class DraidHost : public blockdev::BlockDevice,
     const raid::Geometry &geometry() const { return geom_; }
     const DraidOptions &options() const { return opts_; }
     const HostCounters &counters() const { return counters_; }
-    raid::StripeLockTable &stripeLocks() { return writeLocks_; }
+    raid::StripeLockTable &stripeLocks() { return stripeLocks_; }
 
     /** Non-null when reducerPolicy == kBwAware. */
     BwAwareReducerSelector *bwAwareSelector() { return bwAware_; }
@@ -171,7 +173,10 @@ class DraidHost : public blockdev::BlockDevice,
         std::function<void(bool)> done;
     };
 
+    /** Dispatch over the planner's (degraded) decision for @p sw. */
     void executeStripeWrite(std::shared_ptr<StripeWrite> sw);
+    /** Run @p sw's plan as planned: full stripe, RMW or RCW. */
+    void executePlanned(std::shared_ptr<StripeWrite> sw);
     void executeFullStripe(std::shared_ptr<StripeWrite> sw);
     void executePartialStripe(std::shared_ptr<StripeWrite> sw);
     void executeParityLessWrite(std::shared_ptr<StripeWrite> sw);
@@ -191,18 +196,18 @@ class DraidHost : public blockdev::BlockDevice,
                       std::uint64_t stripe);
 
     // ---- read path ----
-    struct GroupExtent
-    {
-        raid::Extent extent;
-        std::size_t outPos; ///< byte position in the user buffer
-    };
-
+    /** Whether any of @p extents lives on the failed device. */
+    bool holdsFailedChunk(
+        const std::vector<raid::GroupExtent> &extents) const;
+    /** Read one stripe's extents; shared stripe lock when degraded. */
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<GroupExtent> extents, ec::Buffer out,
+                         std::vector<raid::GroupExtent> extents,
+                         ec::Buffer out,
                          std::function<void(bool)> done,
                          std::uint64_t trace = 0);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<GroupExtent> extents, ec::Buffer out,
+                            std::vector<raid::GroupExtent> extents,
+                         ec::Buffer out,
                             std::function<void(bool)> done,
                             std::uint64_t trace = 0);
 
@@ -211,7 +216,7 @@ class DraidHost : public blockdev::BlockDevice,
         std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
         std::uint32_t reducer, std::uint32_t recon_off,
         std::uint32_t recon_len, sim::NodeId spare_node,
-        const std::vector<GroupExtent> &extents, std::uint32_t fidx,
+        const std::vector<raid::GroupExtent> &extents, std::uint32_t fidx,
         std::function<void(std::uint8_t, ec::Buffer)> on_data,
         std::function<void(bool)> done,
         proto::Subtype base_subtype = proto::Subtype::kNoRead,
@@ -256,7 +261,7 @@ class DraidHost : public blockdev::BlockDevice,
     raid::WritePlanner planner_;
     blockdev::CommandIdAllocator ids_;
     blockdev::NvmfInitiator initiator_;
-    raid::StripeLockTable writeLocks_;
+    raid::StripeLockTable stripeLocks_;
     sim::Rng rng_;
 
     std::optional<std::uint32_t> failed_;
@@ -284,9 +289,6 @@ class DraidHost : public blockdev::BlockDevice,
     /** Register host0.draid.* probes + latency histograms. */
     void setupTelemetry();
 
-    /** Record a completed user op span + latency sample. */
-    void finishOpSpan(std::uint64_t trace, const char *name, sim::Ticks start,
-                      std::uint64_t bytes, telemetry::Histogram *lat_us);
 
     /**
      * Record the stripe-lock wait window [since, now) as a "lock" lane

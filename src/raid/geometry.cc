@@ -90,4 +90,18 @@ Geometry::map(std::uint64_t offset, std::uint64_t length) const
     return out;
 }
 
+std::vector<StripeGroup>
+Geometry::groupByStripe(std::uint64_t offset, std::uint64_t length) const
+{
+    std::vector<StripeGroup> groups;
+    std::size_t pos = 0;
+    for (const auto &e : map(offset, length)) {
+        if (groups.empty() || groups.back().stripe != e.stripe)
+            groups.push_back({e.stripe, {}});
+        groups.back().extents.push_back(GroupExtent{e, pos});
+        pos += e.length;
+    }
+    return groups;
+}
+
 } // namespace draid::raid

@@ -7,6 +7,7 @@
 #ifndef DRAID_RAID_GEOMETRY_H
 #define DRAID_RAID_GEOMETRY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,21 @@ struct Extent
     std::uint32_t dataIdx;  ///< data-chunk index within the stripe
     std::uint32_t offset;   ///< byte offset within the chunk
     std::uint32_t length;   ///< byte length within the chunk
+};
+
+/** An extent plus its byte position in the caller's buffer. */
+struct GroupExtent
+{
+    Extent extent;
+    std::size_t outPos; ///< byte position in the user buffer
+};
+
+/** The extents of one logical range that fall in one stripe. */
+struct StripeGroup
+{
+    std::uint64_t stripe;
+    // draid-lint: cap(chunks of one stripe; at most data width)
+    std::vector<GroupExtent> extents;
 };
 
 /**
@@ -98,6 +114,13 @@ class Geometry
      * extents, ordered by logical address.
      */
     std::vector<Extent> map(std::uint64_t offset, std::uint64_t length) const;
+
+    /**
+     * map(), grouped by stripe: each extent carries its byte position
+     * within [offset, offset+length).
+     */
+    std::vector<StripeGroup> groupByStripe(std::uint64_t offset,
+                                           std::uint64_t length) const;
 
     /**
      * Byte address on a member device of @p chunk_offset within the chunk

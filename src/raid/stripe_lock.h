@@ -1,12 +1,15 @@
 /**
  * @file
- * Per-stripe exclusive locks with FIFO waiters.
+ * Per-stripe shared/exclusive locks with one FIFO queue per stripe.
  *
  * RAID does not allow concurrent writes to the same stripe; the host-side
  * controller admits one write per stripe at a time and queues the rest
- * (§3). The SPDK baseline additionally takes the lock for normal reads
- * (the POC behaviour the paper's §8 optimization removes), which is why
- * dRAID only routes writes through this table.
+ * (§3). Writers take the lock exclusive. dRAID's degraded reads take it
+ * shared: a reconstruction XORs survivors and parity, so it must not
+ * overlap a write to the same stripe, but concurrent degraded reads may
+ * overlap each other. Normal dRAID reads stay lock-free (§8); the SPDK
+ * baseline takes the exclusive lock for normal reads too (the POC
+ * behaviour the paper's §8 optimization removes).
  */
 
 #ifndef DRAID_RAID_STRIPE_LOCK_H
@@ -22,22 +25,35 @@
 
 namespace draid::raid {
 
-/** FIFO exclusive lock table keyed by stripe index. */
+/**
+ * FIFO shared/exclusive lock table keyed by stripe index.
+ *
+ * Grants follow request order: a shared request joins the current
+ * holders only when they are shared and nobody is queued, so a queued
+ * writer is never starved by a stream of readers.
+ */
 class StripeLockTable
 {
   public:
     using Grant = std::function<void()>;
 
     /**
-     * Acquire the lock on @p stripe. @p granted runs immediately (same
-     * call stack) if the lock is free, otherwise when released to this
-     * waiter.
+     * Acquire the lock on @p stripe exclusively. @p granted runs
+     * immediately (same call stack) if the lock is free, otherwise when
+     * released to this waiter.
      */
     void acquire(std::uint64_t stripe, Grant granted);
 
     /**
-     * Release the lock on @p stripe; hands off to the next waiter (its
-     * grant callback runs inside this call).
+     * Acquire the lock on @p stripe shared: granted at once while the
+     * holders are shared and nobody waits, otherwise queued like acquire().
+     */
+    void acquireShared(std::uint64_t stripe, Grant granted);
+
+    /**
+     * Release one hold on @p stripe. When the last holder leaves, the
+     * head waiter is granted (its callback runs inside this call); a
+     * shared head brings every consecutive shared waiter behind it.
      * @pre the lock is held
      */
     void release(std::uint64_t stripe);
@@ -54,19 +70,28 @@ class StripeLockTable
     /**
      * Attach the cluster event journal: a StripeLockConvoy record is
      * emitted (as node @p node) whenever a stripe accumulates two or more
-     * queued waiters behind the holder. The table holds no clock, so the
-     * owner supplies @p now. Observe-only.
+     * queued waiters (of either mode) behind the holders. The table holds
+     * no clock, so the owner supplies @p now. Observe-only.
      */
     void bindJournal(telemetry::EventJournal *journal, sim::NodeId node,
                      std::function<sim::Tick()> now);
 
   private:
+    struct Waiter
+    {
+        Grant grant;
+        bool shared;
+    };
+
     struct LockState
     {
-        bool held = false;
+        std::uint32_t holders = 0; ///< one exclusive, or n shared
+        bool shared = false;       ///< mode of the current holders
         // draid-lint: cap(ops queued on one stripe; host queue depth)
-        std::deque<Grant> waiters;
+        std::deque<Waiter> waiters;
     };
+
+    void request(std::uint64_t stripe, Grant granted, bool shared);
 
     // draid-lint: cap(live locked stripes; erased on release)
     std::unordered_map<std::uint64_t, LockState> locks_;

@@ -79,18 +79,8 @@ WritePlanner::planStripe(std::uint64_t stripe,
         static_cast<std::uint64_t>(pc) * (union_hi - union_lo);
     const std::uint64_t rcw_reads =
         static_cast<std::uint64_t>(k) * chunk - written_bytes;
-    (void)w;
     if (rmw_reads < rcw_reads) {
-        p.mode = WriteMode::kReadModifyWrite;
-        // Parity range = union of delta ranges.
-        std::uint32_t lo = chunk, hi = 0;
-        for (const auto &s : p.writes) {
-            lo = std::min(lo, s.offset);
-            hi = std::max(hi, s.offset + s.length);
-        }
-        p.parityOffset = lo;
-        p.parityLength = hi - lo;
-        p.waitNum = w;
+        forceRmw(p);
     } else {
         p.mode = WriteMode::kReconstructWrite;
         // Untouched data chunks are read whole and contribute to parity.
@@ -106,6 +96,63 @@ WritePlanner::planStripe(std::uint64_t stripe,
         p.waitNum = w + static_cast<std::uint32_t>(p.rcwReads.size());
     }
     return p;
+}
+
+void
+WritePlanner::forceRmw(StripeWritePlan &plan) const
+{
+    assert(!plan.writes.empty());
+    plan.mode = WriteMode::kReadModifyWrite;
+    plan.rcwReads.clear();
+    // Parity range = union of delta ranges.
+    std::uint32_t lo = geom_.chunkSize(), hi = 0;
+    for (const auto &s : plan.writes) {
+        lo = std::min(lo, s.offset);
+        hi = std::max(hi, s.offset + s.length);
+    }
+    plan.parityOffset = lo;
+    plan.parityLength = hi - lo;
+    plan.waitNum = static_cast<std::uint32_t>(plan.writes.size());
+}
+
+DegradedWritePlan
+WritePlanner::planDegraded(StripeWritePlan &plan,
+                           std::uint32_t failedDevice) const
+{
+    DegradedWritePlan d;
+    const ChunkRole role = geom_.roleOf(plan.stripe, failedDevice);
+    if (role == ChunkRole::kParityP && geom_.level() == RaidLevel::kRaid5) {
+        d.kind = DegradedWriteKind::kParityLess;
+        return d;
+    }
+    // One parity lost: the ordinary flow skips it. A full-stripe write
+    // skips the failed data chunk the same way.
+    if (role != ChunkRole::kData || plan.mode == WriteMode::kFullStripe)
+        return d;
+
+    const std::uint32_t fidx = geom_.dataIndexOf(plan.stripe, failedDevice);
+    const auto written =
+        std::find_if(plan.writes.begin(), plan.writes.end(),
+                     [fidx](const WriteSegment &s) {
+                         return s.dataIdx == fidx;
+                     });
+    if (written == plan.writes.end()) {
+        d.kind = DegradedWriteKind::kForcedRmw;
+        forceRmw(plan);
+        return d;
+    }
+
+    d.kind = DegradedWriteKind::kTargeted;
+    d.failedSeg = *written;
+    d.failedPos = static_cast<std::size_t>(written - plan.writes.begin());
+    plan.writes.erase(written);
+    if (!plan.writes.empty()) {
+        // The failed chunk is untouched in phase 1, so its unknown
+        // content cancels out of the delta.
+        d.phase1 = plan;
+        forceRmw(*d.phase1);
+    }
+    return d;
 }
 
 } // namespace draid::raid

@@ -1,16 +1,20 @@
 /**
  * @file
  * Per-stripe write planning: pick the write mode (full-stripe,
- * read-modify-write, or reconstruct write) and enumerate the device I/Os
- * every mode needs. Used by the host-side controllers of dRAID and of both
- * baselines, so all systems make identical mode decisions (§9.1's fairness
- * requirement).
+ * read-modify-write, or reconstruct write), enumerate the device I/Os
+ * every mode needs, and decide how a write proceeds while one member is
+ * failed (§5.3). Used by the host-side controllers of dRAID and of both
+ * baselines, so all systems make identical mode decisions, healthy and
+ * degraded (§9.1's fairness requirement); each host only maps the
+ * planner's answer onto its own executors.
  */
 
 #ifndef DRAID_RAID_WRITE_PLAN_H
 #define DRAID_RAID_WRITE_PLAN_H
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "raid/geometry.h"
@@ -59,6 +63,33 @@ struct StripeWritePlan
     std::uint64_t userBytes() const;
 };
 
+/** How a stripe write proceeds with one member failed. */
+enum class DegradedWriteKind
+{
+    kNormal,     ///< lost P (RAID-6) or Q, or a full-stripe write: the
+                 ///< ordinary flow skips the failed device
+    kParityLess, ///< lost P on RAID-5: plain data writes, no parity
+    kForcedRmw,  ///< failed data chunk untouched: its unknown content
+                 ///< cancels out of the delta, so RMW works unmodified
+    kTargeted,   ///< failed data chunk written: its new bytes go straight
+                 ///< into the parity window (survivors first, if any)
+};
+
+/** planDegraded()'s decision for one stripe. */
+struct DegradedWritePlan
+{
+    DegradedWriteKind kind = DegradedWriteKind::kNormal;
+
+    /** kTargeted: the failed chunk's segment, peeled off the plan... */
+    WriteSegment failedSeg{};
+    /** ...and its former index in the plan's writes. */
+    std::size_t failedPos = 0;
+
+    /** kTargeted with surviving segments: a forced-RMW plan that writes
+     * them before the targeted parity update. */
+    std::optional<StripeWritePlan> phase1;
+};
+
 /**
  * Splits a logical write into per-stripe plans and decides each stripe's
  * mode by comparing the *bytes that must be read* from the drives:
@@ -82,6 +113,22 @@ class WritePlanner
     /** Plan a single stripe given its write segments. */
     StripeWritePlan planStripe(std::uint64_t stripe,
                                std::vector<WriteSegment> segs) const;
+
+    /**
+     * Decide how @p plan proceeds with member @p failedDevice failed,
+     * rewriting @p plan in place: forced RMW switches its mode, and a
+     * targeted write peels the failed chunk's segment off its writes
+     * (the caller drops the matching payload at failedPos).
+     */
+    DegradedWritePlan planDegraded(StripeWritePlan &plan,
+                                   std::uint32_t failedDevice) const;
+
+    /**
+     * Turn @p plan into a read-modify-write: parity window = union of the
+     * written ranges, one partial parity per written chunk, no RCW reads.
+     * @pre plan.writes is not empty
+     */
+    void forceRmw(StripeWritePlan &plan) const;
 
   private:
     const Geometry &geom_;

@@ -8,6 +8,33 @@
 namespace draid::telemetry {
 
 void
+Telemetry::finishOp(std::uint64_t trace, const char *name, sim::NodeId node,
+                    sim::Ticks start, sim::Ticks end, std::uint64_t bytes,
+                    Histogram *lat_us)
+{
+    if (lat_us)
+        lat_us->observe(static_cast<double>((end - start).raw()) /
+                        sim::kMicrosecond);
+    // Capture the tenant before noteOpComplete releases the binding.
+    const TenantId tenant = contention_.tenantOf(trace);
+    if (contention_.enabled())
+        contention_.noteOpComplete(trace, end.raw(), (end - start).raw(),
+                                   bytes);
+    if (trace == 0 || !tracer_.active())
+        return;
+    // Root op span: routes through the op-completion path (streaming
+    // aggregator sink + tail-exemplar reservoir) before retention.
+    tracer_.recordOpCompletion({.traceId = trace,
+                                .node = node,
+                                .lane = "op",
+                                .name = name,
+                                .start = start.raw(),
+                                .end = end.raw(),
+                                .tenant = tenant,
+                                .args = {{"bytes", bytes}}});
+}
+
+void
 UtilizationSampler::addSource(sim::NodeId node, std::string name,
                               std::function<sim::Ticks()> busy)
 {

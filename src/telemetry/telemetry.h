@@ -157,6 +157,16 @@ class Telemetry
      */
     std::uint64_t retainedTelemetryBytes() const;
 
+    /**
+     * Close a user op that ran over [start, end) on @p node: observe its
+     * latency in @p lat_us (may be null), feed the contention tracker's
+     * completion stats, and, when @p trace is sampled, record the root
+     * "op" lane span through the tracer's op-completion path.
+     */
+    void finishOp(std::uint64_t trace, const char *name, sim::NodeId node,
+                  sim::Ticks start, sim::Ticks end, std::uint64_t bytes,
+                  Histogram *lat_us);
+
     /** Root scope; components derive their own via scope("node3") etc. */
     MetricScope root() { return MetricScope(metrics_, ""); }
 

@@ -36,6 +36,71 @@ preload(DraidRig &rig, std::uint64_t bytes, std::vector<std::uint8_t> &model)
     ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
 }
 
+/**
+ * A 16 KB write into one data chunk of stripe 1 races a degraded read of
+ * the failed chunk's matching range (whose reconstruction XORs exactly
+ * the survivor and parity bytes the write updates). The read is issued at
+ * a sweep of offsets from 80 us before the write to 200 us after it. The
+ * failed chunk is never written, so every read must return the model's
+ * bytes. @p model holds the array's content and tracks the writes.
+ * @return the number of reads that returned other bytes
+ */
+int
+wrongRacingDegradedReads(sim::Simulator &sim, blockdev::BlockDevice &dev,
+                         const raid::Geometry &g,
+                         std::vector<std::uint8_t> &model)
+{
+    const std::uint32_t fidx = 1, widx = 3;
+    const std::uint32_t len = 16 * 1024;
+    auto logical = [&](std::uint32_t idx) {
+        return g.stripeDataSize() +
+               static_cast<std::uint64_t>(idx) * g.chunkSize() + 8 * 1024;
+    };
+    int wrong = 0;
+    for (int d = -80; d <= 200; d += 4) {
+        SCOPED_TRACE("read offset " + std::to_string(d) + " us");
+        ec::Buffer data(len);
+        data.fillPattern(static_cast<std::uint32_t>(1000 + d));
+        std::memcpy(model.data() + logical(widx), data.data(), len);
+        int pending = 2;
+        bool write_ok = false, read_ok = false;
+        ec::Buffer got;
+        auto landed = [&] {
+            if (--pending == 0)
+                sim.stop();
+        };
+        sim.schedule(sim::Ticks::us(d < 0 ? -d : 0), [&] {
+            dev.write(logical(widx), data.clone(),
+                      [&](blockdev::IoStatus st) {
+                          write_ok = st == blockdev::IoStatus::kOk;
+                          landed();
+                      });
+        });
+        sim.schedule(sim::Ticks::us(d > 0 ? d : 0), [&] {
+            dev.read(logical(fidx), len,
+                     [&](blockdev::IoStatus st, ec::Buffer b) {
+                         read_ok = st == blockdev::IoStatus::kOk;
+                         got = std::move(b);
+                         landed();
+                     });
+        });
+        while (pending > 0 && sim.pendingEvents() > 0)
+            sim.run();
+        EXPECT_TRUE(write_ok);
+        EXPECT_TRUE(read_ok);
+        if (!read_ok ||
+            std::memcmp(got.data(), model.data() + logical(fidx), len) != 0)
+            ++wrong;
+    }
+    // Every write landed as well.
+    bool ok = false;
+    const ec::Buffer all = readSync(
+        sim, dev, 0, static_cast<std::uint32_t>(model.size()), &ok);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(std::memcmp(all.data(), model.data(), model.size()), 0);
+    return wrong;
+}
+
 } // namespace
 
 class DraidDegraded : public ::testing::TestWithParam<RaidLevel>
@@ -242,6 +307,27 @@ TEST_P(DraidDegraded, MixedWorkloadWhileDegradedStaysConsistent)
                               static_cast<std::uint32_t>(span), &ok);
     ASSERT_TRUE(ok);
     EXPECT_EQ(std::memcmp(all.data(), model.data(), span), 0);
+}
+
+// Degraded reads take the stripe lock shared, so a reconstruction never
+// XORs a half-applied write to the same stripe, whichever op comes first;
+// the writers' lock waits behind those readers still sum to their blame.
+TEST_P(DraidDegraded, DegradedReadNeverSeesHalfAppliedWrite)
+{
+    DraidRig rig(6, opts(GetParam()));
+    const auto &g = rig.host().geometry();
+    telemetry::ContentionTracker &ct =
+        rig.cluster->telemetry().contention();
+    ct.setEnabled(true);
+    std::vector<std::uint8_t> model;
+    preload(rig, 3 * g.stripeDataSize(), model);
+    rig.host().markFailed(g.dataDevice(1, 1));
+
+    EXPECT_EQ(wrongRacingDegradedReads(rig.sim(), rig.host(), g, model), 0);
+    // The sweep really overlapped the two ops on the lock.
+    EXPECT_GT(rig.host().stripeLocks().contendedAcquires(), 0u);
+    EXPECT_EQ(ct.totalBlameTicks(), ct.totalWaitTicks());
+    EXPECT_GT(ct.waitedOps(), 0u);
 }
 
 // RAID-6 degraded write into the failed chunk itself, for every failed

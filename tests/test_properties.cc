@@ -151,13 +151,20 @@ class CrossSystemEquivalence : public ::testing::TestWithParam<Shape>
 TEST_P(CrossSystemEquivalence, AllThreeSystemsStoreIdenticalUserData)
 {
     // Same op sequence against dRAID, SPDK, and MD: all must read back
-    // the same bytes (the systems differ in performance, never content).
+    // the same bytes (the systems differ in performance, never content),
+    // healthy and then degraded, and the shared planner must have made
+    // the same write-mode decisions in both phases.
     const Shape s = GetParam();
 
+    struct Outcome
+    {
+        ec::Buffer healthy, degraded;
+        std::uint64_t fullStripe, rmw, rcw, degradedWrites;
+    };
     auto run = [&](int which) {
         cluster::TestbedConfig cfg = smallConfig();
         auto cluster = std::make_unique<cluster::Cluster>(cfg, s.width);
-        std::unique_ptr<blockdev::BlockDevice> dev;
+        std::unique_ptr<baselines::HostCentricRaid> hr;
         std::unique_ptr<core::DraidSystem> dsys;
         if (which == 0) {
             DraidOptions o;
@@ -165,35 +172,79 @@ TEST_P(CrossSystemEquivalence, AllThreeSystemsStoreIdenticalUserData)
             o.chunkSize = s.chunk;
             dsys = std::make_unique<core::DraidSystem>(*cluster, o);
         } else if (which == 1) {
-            dev = std::make_unique<baselines::SpdkRaid>(*cluster, s.level,
-                                                        s.chunk);
+            hr = std::make_unique<baselines::SpdkRaid>(*cluster, s.level,
+                                                       s.chunk);
         } else {
-            dev = std::make_unique<baselines::LinuxMdRaid>(*cluster,
-                                                           s.level,
-                                                           s.chunk);
+            hr = std::make_unique<baselines::LinuxMdRaid>(*cluster, s.level,
+                                                          s.chunk);
         }
         blockdev::BlockDevice &bd = dsys ? static_cast<blockdev::BlockDevice &>(
                                                dsys->host())
-                                         : *dev;
+                                         : *hr;
 
         sim::Rng rng(2024);
         const std::uint64_t span = 3ull * (s.width - 2) * s.chunk;
-        for (int i = 0; i < 20; ++i) {
-            const std::uint32_t len = static_cast<std::uint32_t>(
-                1024 * (1 + rng.nextBounded(48)));
-            const std::uint64_t off = rng.nextBounded(span - len);
-            ec::Buffer data(len);
-            data.fillPattern(i * 7);
-            EXPECT_TRUE(writeSync(cluster->sim(), bd, off, data));
+        std::vector<std::uint8_t> model(span, 0);
+        auto writes = [&](int first) {
+            for (int i = first; i < first + 20; ++i) {
+                const std::uint32_t len = static_cast<std::uint32_t>(
+                    1024 * (1 + rng.nextBounded(48)));
+                const std::uint64_t off = rng.nextBounded(span - len);
+                ec::Buffer data(len);
+                data.fillPattern(i * 7);
+                std::memcpy(model.data() + off, data.data(), len);
+                EXPECT_TRUE(writeSync(cluster->sim(), bd, off, data));
+            }
+        };
+        auto read_all = [&] {
+            bool ok = false;
+            ec::Buffer all = readSync(cluster->sim(), bd, 0,
+                                      static_cast<std::uint32_t>(span), &ok);
+            EXPECT_TRUE(ok);
+            EXPECT_EQ(std::memcmp(all.data(), model.data(), span), 0);
+            return all;
+        };
+
+        Outcome out;
+        writes(0);
+        out.healthy = read_all();
+        // The second-to-last device holds P, Q or data depending on the
+        // stripe, so the degraded writes cover every planner decision.
+        const std::uint32_t failed = s.width - 2;
+        if (dsys)
+            dsys->host().markFailed(failed);
+        else
+            hr->markFailed(failed);
+        writes(20);
+        out.degraded = read_all();
+        if (dsys) {
+            const auto &c = dsys->host().counters();
+            out.fullStripe = c.fullStripeWrites;
+            out.rmw = c.rmwWrites;
+            out.rcw = c.rcwWrites;
+            out.degradedWrites = c.degradedWrites;
+        } else {
+            const auto &c = hr->counters();
+            out.fullStripe = c.fullStripeWrites;
+            out.rmw = c.rmwWrites;
+            out.rcw = c.rcwWrites;
+            out.degradedWrites = c.degradedWrites;
         }
-        bool ok = false;
-        return readSync(cluster->sim(), bd, 0,
-                        static_cast<std::uint32_t>(span), &ok);
+        return out;
     };
 
-    ec::Buffer a = run(0), b = run(1), c = run(2);
-    EXPECT_TRUE(a.contentEquals(b));
-    EXPECT_TRUE(a.contentEquals(c));
+    const Outcome a = run(0);
+    EXPECT_GT(a.degradedWrites, 0u);
+    for (int which : {1, 2}) {
+        SCOPED_TRACE(which == 1 ? "SPDK" : "Linux MD");
+        const Outcome b = run(which);
+        EXPECT_TRUE(a.healthy.contentEquals(b.healthy));
+        EXPECT_TRUE(a.degraded.contentEquals(b.degraded));
+        EXPECT_EQ(a.fullStripe, b.fullStripe);
+        EXPECT_EQ(a.rmw, b.rmw);
+        EXPECT_EQ(a.rcw, b.rcw);
+        EXPECT_EQ(a.degradedWrites, b.degradedWrites);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

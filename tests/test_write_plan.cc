@@ -1,7 +1,10 @@
-// Write planner: mode decisions (the §9.3 regime boundaries) and plan
-// structure.
+// Write planner: mode decisions (the §9.3 regime boundaries), plan
+// structure, and the degraded-write decisions.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "raid/write_plan.h"
 
@@ -135,5 +138,136 @@ TEST(WritePlan, UserBytesSumsSegments)
         for (const auto &p : planner.plan(12345, len))
             total += p.userBytes();
         EXPECT_EQ(total, len);
+    }
+}
+
+namespace {
+
+/** Which member of stripe 0 has failed in a planDegraded() case. */
+struct Lost
+{
+    ChunkRole role;
+    std::uint32_t dataIdx = 0; ///< for ChunkRole::kData
+};
+
+struct DegradedCase
+{
+    const char *name;
+    RaidLevel level;
+    Lost lost;
+    std::vector<WriteSegment> segs;
+    DegradedWriteKind kind;
+    WriteMode mode;           ///< plan's mode afterwards
+    std::uint32_t parityOff;  ///< plan's parity window afterwards
+    std::uint32_t parityLen;
+    std::uint32_t waitNum;    ///< plan's wait-num afterwards
+    std::size_t writesLeft;   ///< plan's segments afterwards
+    std::size_t failedPos;    ///< kTargeted: peeled segment's index
+    bool phase1;              ///< kTargeted: survivors' RMW phase
+};
+
+} // namespace
+
+TEST(WritePlan, PlanDegradedDecidesEveryCase)
+{
+    // Width 6, 64 KB chunks: RAID-5 has 5 data chunks, RAID-6 has 4.
+    constexpr std::uint32_t c = 64 * kKb;
+    const auto r5 = RaidLevel::kRaid5, r6 = RaidLevel::kRaid6;
+    const Lost p{ChunkRole::kParityP}, q{ChunkRole::kParityQ};
+    auto data = [](std::uint32_t i) { return Lost{ChunkRole::kData, i}; };
+    using K = DegradedWriteKind;
+    using M = WriteMode;
+    const WriteSegment small{0, 4 * kKb, 8 * kKb};
+    const std::vector<DegradedCase> cases = {
+        // A lost P on RAID-5 leaves no parity to maintain.
+        {"r5 lost P", r5, p, {small}, K::kParityLess, M::kReadModifyWrite,
+         4 * kKb, 8 * kKb, 1, 1, 0, false},
+        // A lost P on RAID-6, or a lost Q: the normal flow skips it.
+        {"r6 lost P", r6, p, {small}, K::kNormal, M::kReadModifyWrite,
+         4 * kKb, 8 * kKb, 1, 1, 0, false},
+        {"r6 lost Q", r6, q, {small}, K::kNormal, M::kReadModifyWrite,
+         4 * kKb, 8 * kKb, 1, 1, 0, false},
+        // Untouched failed chunk: a reconstruct write turns into RMW over
+        // the union window (its unknown bytes would enter the RCW sum).
+        {"r5 untouched", r5, data(2),
+         {{0, 0, c}, {1, 0, c}, {3, 0, c / 2}}, K::kForcedRmw,
+         M::kReadModifyWrite, 0, c, 3, 3, 0, false},
+        {"r6 untouched", r6, data(3), {{0, 0, c}, {1, 0, c}, {2, 0, c / 2}},
+         K::kForcedRmw, M::kReadModifyWrite, 0, c, 3, 3, 0, false},
+        {"r5 untouched small", r5, data(4), {small}, K::kForcedRmw,
+         M::kReadModifyWrite, 4 * kKb, 8 * kKb, 1, 1, 0, false},
+        // Failed chunk touched alone: its segment is peeled off, nothing
+        // else to write.
+        {"r5 touched alone", r5, data(1), {{1, 8 * kKb, 16 * kKb}},
+         K::kTargeted, M::kReadModifyWrite, 8 * kKb, 16 * kKb, 1, 0, 0,
+         false},
+        {"r6 touched alone", r6, data(0), {{0, 8 * kKb, 16 * kKb}},
+         K::kTargeted, M::kReadModifyWrite, 8 * kKb, 16 * kKb, 1, 0, 0,
+         false},
+        // Touched with survivors: the survivors get a forced-RMW phase 1;
+        // the plan itself keeps its mode minus the peeled segment.
+        {"r5 touched with survivors", r5, data(1),
+         {{0, c - 4 * kKb, 4 * kKb}, {1, 0, c}, {2, 0, 10 * kKb}},
+         K::kTargeted, M::kReadModifyWrite, 0, c, 3, 2, 1, true},
+        {"r6 touched with survivors", r6, data(2),
+         {{0, 0, c}, {1, 0, c}, {2, 0, c}}, K::kTargeted,
+         M::kReconstructWrite, 0, c, 4, 2, 2, true},
+        // A full-stripe write skips the failed chunk in the normal flow.
+        {"r5 full stripe", r5, data(3),
+         {{0, 0, c}, {1, 0, c}, {2, 0, c}, {3, 0, c}, {4, 0, c}},
+         K::kNormal, M::kFullStripe, 0, c, 0, 5, 0, false},
+        {"r6 full stripe", r6, data(0),
+         {{0, 0, c}, {1, 0, c}, {2, 0, c}, {3, 0, c}}, K::kNormal,
+         M::kFullStripe, 0, c, 0, 4, 0, false},
+    };
+
+    for (const auto &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        Geometry g(tc.level, c, 6);
+        WritePlanner planner(g);
+        std::uint32_t failed = g.parityDevice(0);
+        if (tc.lost.role == ChunkRole::kParityQ)
+            failed = g.qDevice(0);
+        else if (tc.lost.role == ChunkRole::kData)
+            failed = g.dataDevice(0, tc.lost.dataIdx);
+        StripeWritePlan plan = planner.planStripe(0, tc.segs);
+        const StripeWritePlan before = plan;
+        const DegradedWritePlan d = planner.planDegraded(plan, failed);
+
+        EXPECT_EQ(d.kind, tc.kind);
+        EXPECT_EQ(plan.mode, tc.mode);
+        EXPECT_EQ(plan.parityOffset, tc.parityOff);
+        EXPECT_EQ(plan.parityLength, tc.parityLen);
+        EXPECT_EQ(plan.waitNum, tc.waitNum);
+        EXPECT_EQ(plan.writes.size(), tc.writesLeft);
+        if (plan.mode == WriteMode::kReadModifyWrite) {
+            EXPECT_TRUE(plan.rcwReads.empty());
+        }
+        EXPECT_EQ(d.phase1.has_value(), tc.phase1);
+        if (tc.kind != DegradedWriteKind::kTargeted)
+            continue;
+
+        // The peeled segment is the failed chunk's, at its old index.
+        EXPECT_EQ(d.failedPos, tc.failedPos);
+        EXPECT_EQ(d.failedSeg.dataIdx, tc.lost.dataIdx);
+        EXPECT_EQ(d.failedSeg.offset, before.writes[d.failedPos].offset);
+        EXPECT_EQ(d.failedSeg.length, before.writes[d.failedPos].length);
+        for (const auto &s : plan.writes)
+            EXPECT_NE(s.dataIdx, tc.lost.dataIdx);
+        if (!d.phase1)
+            continue;
+        // Phase 1 writes the survivors by RMW over their union window.
+        const StripeWritePlan &ph = *d.phase1;
+        EXPECT_EQ(ph.mode, WriteMode::kReadModifyWrite);
+        EXPECT_TRUE(ph.rcwReads.empty());
+        ASSERT_EQ(ph.writes.size(), plan.writes.size());
+        EXPECT_EQ(ph.waitNum, ph.writes.size());
+        std::uint32_t lo = c, hi = 0;
+        for (const auto &s : ph.writes) {
+            lo = std::min(lo, s.offset);
+            hi = std::max(hi, s.offset + s.length);
+        }
+        EXPECT_EQ(ph.parityOffset, lo);
+        EXPECT_EQ(ph.parityLength, hi - lo);
     }
 }
