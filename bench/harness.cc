@@ -594,7 +594,7 @@ preloadSpan(SystemUnderTest &sut, std::uint64_t working_set_bytes)
         while (pos < span) {
             const std::uint32_t len = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(io, span - pos));
-            ec::Buffer data(len);
+            auto data = ec::Buffer::uninitialized(len);
             data.fill(static_cast<std::uint8_t>(pos >> 22));
             ++outstanding;
             dev.write(pos, std::move(data), [&](blockdev::IoStatus) {

@@ -71,7 +71,7 @@ runObjectStoreYcsb(SystemUnderTest &sut, workload::YcsbWorkload workload,
             if (next >= num_objects)
                 return;
             const std::uint64_t id = next++;
-            ec::Buffer obj(object_size);
+            auto obj = ec::Buffer::uninitialized(object_size);
             obj.fill(static_cast<std::uint8_t>(id));
             store->put(id, std::move(obj), [&, pump](bool) {
                 if (++loaded == num_objects)
@@ -103,7 +103,7 @@ runObjectStoreYcsb(SystemUnderTest &sut, workload::YcsbWorkload workload,
                 break;
               case workload::YcsbOp::Type::kUpdate:
               case workload::YcsbOp::Type::kInsert: {
-                ec::Buffer obj(object_size);
+                auto obj = ec::Buffer::uninitialized(object_size);
                 obj.fill(static_cast<std::uint8_t>(op.key));
                 store->put(op.key, std::move(obj),
                            [done](bool) { done(); });

@@ -445,8 +445,10 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
         }
         // Deltas -> new parity windows.
         std::uint64_t xor_bytes = 0;
-        ec::Buffer new_p = ctx->oldP; // window-sized
-        ec::Buffer new_q = ctx->oldQ;
+        // Window-sized; the old parity aliases the drives' stores, so
+        // the new parity goes into a copy.
+        ec::Buffer new_p = ctx->oldP.clone();
+        ec::Buffer new_q = ctx->oldQ.clone();
         const auto &gf = ec::Gf256::instance();
         for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
             const auto &seg = sw->plan.writes[i];
@@ -588,13 +590,13 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
             retryStripe(sw);
             return;
         }
-        // Overlay new segments.
+        // Overlay new segments; a read chunk aliases its drive's store,
+        // so it is overlaid in a copy.
         const auto &plan = sw->plan;
         for (std::size_t i = 0; i < plan.writes.size(); ++i) {
             const auto &seg = plan.writes[i];
             auto &c = ctx->chunks[seg.dataIdx];
-            if (c.empty())
-                c = ec::Buffer(chunk);
+            c = c.empty() ? ec::Buffer(chunk) : c.clone();
             std::memcpy(c.data() + seg.offset, sw->segData[i].data(),
                         seg.length);
         }
@@ -791,7 +793,13 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
                                  std::uint64_t trace)
 {
     // The SPDK POC locks the stripe for normal reads (§8); MD does not.
-    if (tuning_.lockReads) {
+    // Both lock a degraded read: a reconstruction XORs survivors and
+    // parity, so it must not overlap a write to the stripe. MD's degraded
+    // readers share the lock with each other. Taken here, not in
+    // degradedStripeRead: §5.4 retry reaches that through readChunk under
+    // the writer's lock.
+    const bool shared = !tuning_.lockReads && holdsFailedChunk(extents);
+    if (tuning_.lockReads || shared) {
         auto inner = std::move(done);
         done = [this, stripe, inner = std::move(inner)](bool ok) {
             locks_.release(stripe);
@@ -800,15 +808,9 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
     }
     auto run = [this, stripe, extents = std::move(extents), out,
                 done = std::move(done), trace]() mutable {
-        const bool has_failed =
-            failed_ && std::any_of(extents.begin(), extents.end(),
-                                   [this](const raid::GroupExtent &g) {
-                                       return geom_.dataDevice(
-                                                  g.extent.stripe,
-                                                  g.extent.dataIdx) ==
-                                              *failed_;
-                                   });
-        if (has_failed) {
+        // Checked when the lock is granted: the array may have left
+        // degraded state meanwhile.
+        if (holdsFailedChunk(extents)) {
             degradedStripeRead(stripe, std::move(extents), out,
                                std::move(done), trace);
             return;
@@ -851,7 +853,24 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
         });
         return;
     }
+    if (shared) {
+        locks_.acquireShared(stripe, std::move(run));
+        return;
+    }
     run();
+}
+
+bool
+HostCentricRaid::holdsFailedChunk(
+    const std::vector<raid::GroupExtent> &extents) const
+{
+    return failed_ && std::any_of(extents.begin(), extents.end(),
+                                  [this](const raid::GroupExtent &g) {
+                                      return geom_.dataDevice(
+                                                 g.extent.stripe,
+                                                 g.extent.dataIdx) ==
+                                             *failed_;
+                                  });
 }
 
 void

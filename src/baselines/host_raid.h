@@ -119,6 +119,7 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
 
     const raid::Geometry &geometry() const { return geom_; }
     const HostRaidCounters &counters() const { return counters_; }
+    const raid::StripeLockTable &stripeLocks() const { return locks_; }
 
   protected:
     // --- write path ---
@@ -169,6 +170,8 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
                             ec::Buffer out,
                             std::function<void(bool)> done,
                             std::uint64_t trace = 0);
+    /** Whether any of @p extents lies on the failed device. */
+    bool holdsFailedChunk(const std::vector<raid::GroupExtent> &extents) const;
 
     /** Read a whole data chunk, reconstructing on the host if failed. */
     void readChunk(std::uint64_t stripe, std::uint32_t data_idx,

@@ -750,11 +750,15 @@ DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
             retryStripe(sw); // count down further retries
             return;
         }
-        // Overlay the new segments and reissue as a full-stripe plan.
+        // Overlay the new segments and reissue as a full-stripe plan. A
+        // gathered chunk aliases its drive's store or the caller's data,
+        // so it is overlaid in a copy.
         for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
             const auto &seg = sw->plan.writes[i];
-            std::memcpy(g->chunks[seg.dataIdx].data() + seg.offset,
-                        sw->segData[i].data(), seg.length);
+            auto &c = g->chunks[seg.dataIdx];
+            c = c.clone();
+            std::memcpy(c.data() + seg.offset, sw->segData[i].data(),
+                        seg.length);
         }
         auto fsw = std::make_shared<StripeWrite>();
         fsw->plan.stripe = stripe;
@@ -783,7 +787,7 @@ DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
         if (covering) {
             for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
                 if (&sw->plan.writes[i] == covering)
-                    g->chunks[idx] = sw->segData[i].clone();
+                    g->chunks[idx] = sw->segData[i];
             }
             if (--g->remaining == 0)
                 merged();

@@ -7,7 +7,7 @@ namespace draid::ec {
 
 Buffer::Buffer(std::size_t size)
     : block_(new std::uint8_t[size](), std::default_delete<std::uint8_t[]>()),
-      size_(size)
+      size_(size), blockSize_(size)
 {
 }
 
@@ -25,6 +25,7 @@ Buffer::uninitialized(std::size_t size)
     b.block_ = std::shared_ptr<std::uint8_t[]>(
         new std::uint8_t[size], std::default_delete<std::uint8_t[]>());
     b.size_ = size;
+    b.blockSize_ = size;
     if constexpr (kPoisons)
         b.fill(kPoison);
     return b;

@@ -11,7 +11,10 @@
  * one is visible through every other handle on the same block. Code that
  * writes into a buffer must own it: allocate it (or clone() it) itself,
  * and only hand it on once it is done writing. Buffers received from a
- * caller, a drive or the network are read-only to the receiver.
+ * caller, a drive or the network are read-only to the receiver. A drive
+ * (blockdev::MemoryBdev) stores the buffer handed to write() as it is and
+ * returns views of it from later reads, so a buffer once written must
+ * never be written again, by the writer or by any reader.
  */
 
 #ifndef DRAID_EC_BUFFER_H
@@ -54,6 +57,9 @@ class Buffer
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** Size of the whole block this buffer (or view) keeps alive. */
+    std::size_t blockSize() const { return blockSize_; }
+
     std::uint8_t *data() { return block_.get() + offset_; }
     const std::uint8_t *data() const { return block_.get() + offset_; }
 
@@ -82,6 +88,7 @@ class Buffer
     std::shared_ptr<std::uint8_t[]> block_;
     std::size_t offset_ = 0; ///< start of this view within block_
     std::size_t size_ = 0;
+    std::size_t blockSize_ = 0;
 };
 
 } // namespace draid::ec

@@ -203,6 +203,42 @@ TEST_P(BaselineParam, RebuildOntoSpare)
     }
 }
 
+// Drives keep each written buffer as it is, so no write may build its new
+// bytes in a buffer that a drive read returned: the RMWs that update
+// parity and an RCW that merges new bytes into a read chunk leave every
+// earlier written buffer exactly as it was written.
+TEST_P(BaselineParam, WritesNeverModifyEarlierWrittenBuffers)
+{
+    BaselineRig rig(kind(), level());
+    const auto &g = rig.raidDev->geometry();
+    std::vector<ec::Buffer> written, pristine;
+    for (std::uint32_t i = 0; i < g.dataChunks(); ++i) {
+        ec::Buffer c(g.chunkSize());
+        c.fillPattern(40 + i);
+        ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev,
+                              static_cast<std::uint64_t>(i) * g.chunkSize(),
+                              c));
+        written.push_back(c);
+        pristine.push_back(c.clone());
+    }
+    // All of stripe 0 but the first half of chunk 0: a reconstruct-write
+    // that reads chunk 0 and overlays its second half.
+    const std::uint64_t off = g.chunkSize() / 2;
+    ec::Buffer tail(g.stripeDataSize() - off);
+    tail.fillPattern(50);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, off, tail));
+    EXPECT_GE(rig.raidDev->counters().rcwWrites, 1u);
+
+    for (std::size_t i = 0; i < written.size(); ++i)
+        EXPECT_TRUE(written[i].contentEquals(pristine[i])) << "chunk " << i;
+    const ec::Buffer got = readSync(
+        rig.sim(), *rig.raidDev, 0,
+        static_cast<std::uint32_t>(g.stripeDataSize()));
+    EXPECT_TRUE(got.slice(0, off).contentEquals(pristine[0].slice(0, off)));
+    EXPECT_TRUE(got.slice(off, tail.size()).contentEquals(tail));
+    EXPECT_TRUE(scrubStripe(*rig.cluster, g, 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kinds, BaselineParam,
     ::testing::Combine(::testing::Values(Kind::kSpdk, Kind::kLinux),

@@ -177,3 +177,12 @@ TEST(Buffer, UninitializedHasRequestedSize)
     for (std::size_t i = 0; i < c.size(); ++i)
         EXPECT_EQ(c[i], 0);
 }
+
+TEST(Buffer, ViewsReportTheirBlockSize)
+{
+    Buffer b = Buffer::uninitialized(1000);
+    EXPECT_EQ(b.blockSize(), 1000u);
+    EXPECT_EQ(b.slice(100, 10).blockSize(), 1000u);
+    EXPECT_EQ(b.slice(100, 10).clone().blockSize(), 10u);
+    EXPECT_EQ(Buffer().blockSize(), 0u);
+}

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/linux_md.h"
 #include "draid_test_util.h"
 
 using namespace draid;
@@ -387,6 +388,33 @@ TEST(DraidDegradedRaid6, TargetedWriteKeepsPAndQForEveryFailedPosition)
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, DraidDegraded,
+                         ::testing::Values(RaidLevel::kRaid5,
+                                           RaidLevel::kRaid6));
+
+class MdDegraded : public ::testing::TestWithParam<RaidLevel>
+{
+};
+
+// The same race on Linux MD, which locks no normal read: its degraded
+// read must still take the stripe lock (shared) against the write.
+TEST_P(MdDegraded, DegradedReadNeverSeesHalfAppliedWrite)
+{
+    const cluster::TestbedConfig cfg = smallConfig();
+    cluster::Cluster cluster(cfg, 6);
+    baselines::LinuxMdRaid md(cluster, GetParam(), 64 * 1024, 0);
+    const auto &g = md.geometry();
+    std::vector<std::uint8_t> model(3 * g.stripeDataSize());
+    ec::Buffer data(model.size());
+    data.fillPattern(42);
+    std::memcpy(model.data(), data.data(), model.size());
+    ASSERT_TRUE(writeSync(cluster.sim(), md, 0, data));
+    md.markFailed(g.dataDevice(1, 1));
+
+    EXPECT_EQ(wrongRacingDegradedReads(cluster.sim(), md, g, model), 0);
+    EXPECT_GT(md.stripeLocks().contendedAcquires(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, MdDegraded,
                          ::testing::Values(RaidLevel::kRaid5,
                                            RaidLevel::kRaid6));
 
